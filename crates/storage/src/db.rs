@@ -15,7 +15,7 @@
 //!   inflate read latency. This models the Figure 1 observation that
 //!   dropping redundant indexes *improves* throughput by freeing cache.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Table};
 use crate::fault::{BuildRoll, ExecRoll, FaultKind, FaultPlan, WhatifRoll};
 use crate::index::{geometry, IndexDef, IndexGeometry, IndexId};
 use crate::planner::{
@@ -27,6 +27,7 @@ use crate::StorageError;
 use autoindex_sql::Statement;
 use autoindex_support::obs::{Counter, Gauge, MetricsRegistry};
 use autoindex_support::rng::{derive_seed, StdRng};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Configuration of the simulated database.
@@ -162,6 +163,13 @@ struct DbMetricHandles {
     /// `db.fault.absorbed_retries` — transient faults swallowed by the
     /// infallible wrappers (`execute*`), each paid as a retry.
     fault_absorbed_retries: Counter,
+    /// `db.resolve.rebuilds` — full resolutions of the real index set
+    /// into the resolved view (first execution, after DDL or a
+    /// `catalog_mut` edit).
+    resolve_rebuilds: Counter,
+    /// `db.resolve.table_refreshes` — incremental view updates after an
+    /// insert grew one table (only that table's indexes re-resolved).
+    resolve_table_refreshes: Counter,
 }
 
 impl DbMetricHandles {
@@ -188,6 +196,8 @@ impl DbMetricHandles {
             fault_transients: m.counter("db.fault.transient_errors"),
             fault_stale_whatifs: m.counter("db.fault.stale_whatifs"),
             fault_absorbed_retries: m.counter("db.fault.absorbed_retries"),
+            resolve_rebuilds: m.counter("db.resolve.rebuilds"),
+            resolve_table_refreshes: m.counter("db.resolve.table_refreshes"),
         }
     }
 
@@ -235,6 +245,21 @@ pub enum StorageBackend {
     Paged(crate::engine::EngineConfig),
 }
 
+/// The real index set resolved against the catalog, with the footprint
+/// totals buffer pressure is priced from. Valid while `version` equals
+/// [`Catalog::version`]; see [`SimDb::execute_shape`] for its lifecycle.
+#[derive(Debug)]
+struct ResolvedView {
+    /// The catalog version the view was resolved at.
+    version: u64,
+    /// Exactly what [`SimDb::visible_real_indexes`] would return.
+    visible: Vec<VisibleIndex>,
+    /// Exactly what [`SimDb::total_index_bytes`] would return.
+    index_bytes: u64,
+    /// Exactly what [`SimDb::total_heap_bytes`] would return.
+    heap_bytes: u64,
+}
+
 /// The simulated database.
 pub struct SimDb {
     catalog: Catalog,
@@ -252,6 +277,9 @@ pub struct SimDb {
     /// The paged engine tier, present iff the backend is
     /// [`StorageBackend::Paged`]. Never consulted by planning/costing.
     engine: Option<crate::engine::Engine>,
+    /// Lazily built by the first execution, dropped by DDL and
+    /// `catalog_mut`, kept in step with insert growth.
+    view: Option<ResolvedView>,
 }
 
 impl SimDb {
@@ -278,6 +306,7 @@ impl SimDb {
             obs,
             faults: None,
             engine: None,
+            view: None,
         }
     }
 
@@ -347,7 +376,10 @@ impl SimDb {
     }
 
     /// Mutable catalog access (workload generators adjust statistics).
+    /// Drops the resolved view: the caller may edit statistics or swap in
+    /// a whole catalog.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
+        self.view = None;
         &mut self.catalog
     }
 
@@ -407,6 +439,7 @@ impl SimDb {
         let id = IndexId(self.next_id);
         self.next_id += 1;
         self.indexes.insert(id, def);
+        self.view = None;
         self.obs.index_creates.incr();
         Ok(id)
     }
@@ -433,6 +466,7 @@ impl SimDb {
         let id = IndexId(self.next_id);
         self.next_id += 1;
         self.indexes.insert(id, def);
+        self.view = None;
         self.obs.index_restores.incr();
         Ok(id)
     }
@@ -444,6 +478,7 @@ impl SimDb {
             .indexes
             .remove(&id)
             .ok_or(StorageError::UnknownIndex(id))?;
+        self.view = None;
         if let Some(engine) = self.engine.as_mut() {
             if engine.has_index(&def.key()) {
                 engine.drop_index(&def.key(), None)?;
@@ -600,11 +635,12 @@ impl SimDb {
     pub fn explain(&self, stmt: &Statement) -> String {
         let shape = QueryShape::extract(stmt, &self.catalog);
         let planner = Planner::new(&self.catalog, &self.config.cost_params);
-        let visible = self.visible_real_indexes();
-        let plan = planner.plan(&shape, &visible);
+        let plan = planner.plan(&shape, &self.resolved_indexes());
         plan.explain(&|id| self.indexes.get(&id).map(|d| d.to_string()))
     }
 
+    /// The real index set, resolved from scratch: every definition cloned
+    /// and its geometry recomputed.
     fn visible_real_indexes(&self) -> Vec<VisibleIndex> {
         let planner = Planner::new(&self.catalog, &self.config.cost_params);
         let defs: Vec<(IndexId, IndexDef)> = self
@@ -615,11 +651,77 @@ impl SimDb {
         planner.resolve_indexes(&defs)
     }
 
+    // ------------------------------------------------------ resolved view
+
+    /// The resolved view, if one exists and matches the catalog version.
+    fn valid_view(&self) -> Option<&ResolvedView> {
+        self.view
+            .as_ref()
+            .filter(|v| v.version == self.catalog.version())
+    }
+
+    /// The real index set: borrowed from a valid view, else resolved from
+    /// scratch.
+    fn resolved_indexes(&self) -> Cow<'_, [VisibleIndex]> {
+        match self.valid_view() {
+            Some(v) => Cow::Borrowed(&v.visible),
+            None => Cow::Owned(self.visible_real_indexes()),
+        }
+    }
+
+    /// Build the resolved view unless a valid one exists.
+    fn ensure_view(&mut self) {
+        if self.valid_view().is_some() {
+            return;
+        }
+        self.obs.resolve_rebuilds.incr();
+        let visible = self.visible_real_indexes();
+        self.view = Some(ResolvedView {
+            version: self.catalog.version(),
+            index_bytes: visible.iter().map(|v| v.geo.bytes).sum(),
+            heap_bytes: self.total_heap_bytes(),
+            visible,
+        });
+    }
+
+    /// Grow `table` by `rows` (an INSERT's data growth) and keep a valid
+    /// view in step: only the grown table's indexes are re-resolved, and
+    /// the totals move by exact deltas. Without a view this is just the
+    /// catalog and engine update.
+    fn grow_table(&mut self, table: &str, rows: u64) {
+        let version = self.catalog.version();
+        let has_view = self.view.is_some();
+        let (start_row, heap_before) = self
+            .catalog
+            .table(table)
+            .map_or((0, 0), |t| (t.rows, if has_view { t.bytes() } else { 0 }));
+        let grew = self.catalog.grow_table(table, rows).is_ok();
+        self.engine_insert(table, start_row, rows);
+        // An unknown table grew nothing, so a view stays valid as it is.
+        let Some(view) = self.view.as_mut().filter(|_| grew) else {
+            return;
+        };
+        let grown = self.catalog.table(table).expect("the table just grew");
+        let refreshed = view.version == version
+            && view
+                .refresh_table(grown, heap_before, self.catalog.version())
+                .is_some();
+        if refreshed {
+            self.obs.resolve_table_refreshes.incr();
+        } else {
+            self.view = None;
+        }
+    }
+
     // ---------------------------------------------------------- execution
 
     /// Buffer-pressure multiplier on read latency given current footprint.
     pub fn memory_pressure(&self) -> f64 {
-        self.pressure_for_index_bytes(self.total_index_bytes())
+        let index_bytes = match self.valid_view() {
+            Some(v) => v.index_bytes,
+            None => self.total_index_bytes(),
+        };
+        self.pressure_for_index_bytes(index_bytes)
     }
 
     /// Buffer-pressure multiplier for a *hypothetical* total index
@@ -628,7 +730,11 @@ impl SimDb {
     /// where dropping unused indexes improves throughput by freeing
     /// memory.
     pub fn pressure_for_index_bytes(&self, index_bytes: u64) -> f64 {
-        let total = self.total_heap_bytes() + index_bytes;
+        let heap_bytes = match self.valid_view() {
+            Some(v) => v.heap_bytes,
+            None => self.total_heap_bytes(),
+        };
+        let total = heap_bytes + index_bytes;
         let mem = self.config.memory_bytes.max(1);
         let over = (total as f64 - mem as f64) / mem as f64;
         1.0 + self.config.memory_pressure_factor * over.max(0.0)
@@ -656,6 +762,17 @@ impl SimDb {
 
     /// Execute a pre-extracted shape, absorbing transient faults (hot path
     /// for template workloads).
+    ///
+    /// Execution plans against a *resolved view* of the real index set
+    /// (definitions, geometry, and the index/heap byte totals that price
+    /// buffer pressure) instead of re-resolving it per statement. The
+    /// first execution builds the view; DDL and [`SimDb::catalog_mut`]
+    /// drop it; insert growth re-resolves only the grown table's indexes.
+    /// The view is stamped with [`Catalog::version`] and `&self` readers
+    /// ([`SimDb::snapshot`], [`SimDb::explain`],
+    /// [`SimDb::memory_pressure`], [`SimDb::pressure_for_index_bytes`])
+    /// use it only when the stamp matches, recomputing from scratch
+    /// otherwise. Either way the results are bit-identical.
     pub fn execute_shape(&mut self, shape: &QueryShape) -> ExecOutcome {
         for _ in 0..Self::EXEC_RETRY_BUDGET {
             match self.try_execute_shape(shape) {
@@ -692,9 +809,10 @@ impl SimDb {
     /// The fault-free execution core; `latency_factor` scales the measured
     /// latency (1.0 = healthy).
     fn execute_shape_inner(&mut self, shape: &QueryShape, latency_factor: f64) -> ExecOutcome {
+        self.ensure_view();
+        let view = self.view.as_ref().expect("view was just ensured");
         let planner = Planner::new(&self.catalog, &self.config.cost_params);
-        let visible = self.visible_real_indexes();
-        let plan = planner.plan(shape, &visible);
+        let plan = planner.plan(shape, &view.visible);
         self.obs.executions.incr();
         self.obs.tally_plan(&plan);
 
@@ -717,9 +835,7 @@ impl SimDb {
         // Data growth from inserts.
         if let Some(w) = &shape.write {
             if w.kind == crate::shape::WriteKind::Insert {
-                let before = self.catalog.table(&w.table).map_or(0, |t| t.rows);
-                let _ = self.catalog.grow_table(&w.table, w.inserted_rows);
-                self.engine_insert(&w.table, before, w.inserted_rows);
+                self.grow_table(&w.table, w.inserted_rows);
             }
         }
 
@@ -749,7 +865,7 @@ impl SimDb {
             epoch,
             catalog: self.catalog.clone(),
             config: self.config.clone(),
-            visible: self.visible_real_indexes(),
+            visible: self.resolved_indexes().into_owned(),
             pressure: self.memory_pressure(),
         }
     }
@@ -763,9 +879,7 @@ impl SimDb {
         self.obs.executions.incr();
         self.usage.apply_delta(delta);
         if let Some((table, rows)) = &delta.growth {
-            let before = self.catalog.table(table).map_or(0, |t| t.rows);
-            let _ = self.catalog.grow_table(table, *rows);
-            self.engine_insert(table, before, *rows);
+            self.grow_table(table, *rows);
         }
     }
 
@@ -828,9 +942,9 @@ pub struct DbSnapshot {
     pub epoch: u64,
     catalog: Catalog,
     config: SimDbConfig,
-    /// Real indexes resolved once at snapshot time (planning against the
-    /// banking catalog's hundreds of indexes would otherwise re-resolve
-    /// geometry per statement).
+    /// Real indexes as resolved at snapshot time (a copy of the live
+    /// database's resolved view when it has one), so executors plan
+    /// without touching index geometry.
     visible: Vec<VisibleIndex>,
     /// Buffer-pressure multiplier frozen at snapshot time.
     pressure: f64,
@@ -896,6 +1010,27 @@ impl DbSnapshot {
             },
             delta,
         )
+    }
+}
+
+impl ResolvedView {
+    /// Re-resolve the indexes on `grown` after it grew from `heap_before`
+    /// heap bytes, adjust both totals by the exact deltas and re-stamp at
+    /// `version`. `None` when an index no longer resolves (the caller then
+    /// drops the view).
+    fn refresh_table(&mut self, grown: &Table, heap_before: u64, version: u64) -> Option<()> {
+        self.heap_bytes = self.heap_bytes - heap_before + grown.bytes();
+        for v in self
+            .visible
+            .iter_mut()
+            .filter(|v| v.def.table == grown.name)
+        {
+            let geo = geometry(&v.def, grown).ok()?;
+            self.index_bytes = self.index_bytes - v.geo.bytes + geo.bytes;
+            v.geo = geo;
+        }
+        self.version = version;
+        Some(())
     }
 }
 
@@ -1570,6 +1705,275 @@ mod tests {
             absorbed < 200 * SimDb::EXEC_RETRY_BUDGET as u64 / 2,
             "budget is an upper bound, not the norm: {absorbed}"
         );
+    }
+
+    // ------------------------------------------------------ resolved view
+
+    /// Two tables, so growing one must leave the other's indexes alone,
+    /// and a 16 MiB buffer pool, so buffer pressure is above 1.
+    fn view_db(seed: u64, transient_error: f64) -> SimDb {
+        let mut c = Catalog::new();
+        for (name, rows) in [("t", 500_000), ("u", 80_000)] {
+            c.add_table(
+                TableBuilder::new(name, rows)
+                    .column(Column::int("a", rows))
+                    .column(Column::int("b", 50))
+                    .column(Column::text("c", 10_000, 24))
+                    .primary_key(&["a"])
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let cfg = SimDbConfig {
+            memory_bytes: 16 << 20,
+            seed,
+            ..SimDbConfig::default()
+        };
+        let mut db = SimDb::with_metrics(c, cfg, MetricsRegistry::new());
+        db.set_fault_plan(Some(FaultPlan::new(FaultPlanConfig {
+            seed,
+            transient_error,
+            ..FaultPlanConfig::default()
+        })));
+        db
+    }
+
+    /// Buffer pressure computed from scratch, independent of any view.
+    fn scratch_pressure(db: &SimDb, index_bytes: u64) -> f64 {
+        let mem = db.config.memory_bytes as f64;
+        let over = ((db.total_heap_bytes() + index_bytes) as f64 - mem) / mem;
+        1.0 + db.config.memory_pressure_factor * over.max(0.0)
+    }
+
+    fn assert_same_indexes(got: &[VisibleIndex], want: &[VisibleIndex], step: usize) {
+        assert_eq!(got.len(), want.len(), "step {step}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!((g.id, &g.def, g.geo), (w.id, &w.def, w.geo), "step {step}");
+        }
+    }
+
+    /// A present view equals a fresh resolution field for field, and every
+    /// pressure reader equals the from-scratch formula bit for bit.
+    fn assert_view_fresh(db: &SimDb, step: usize) {
+        if let Some(view) = &db.view {
+            assert_eq!(
+                view.version,
+                db.catalog.version(),
+                "step {step}: stale view"
+            );
+            assert_same_indexes(&view.visible, &db.visible_real_indexes(), step);
+            assert_eq!(view.index_bytes, db.total_index_bytes(), "step {step}");
+            assert_eq!(view.heap_bytes, db.total_heap_bytes(), "step {step}");
+        }
+        let scratch = scratch_pressure(db, db.total_index_bytes());
+        assert_eq!(
+            db.memory_pressure().to_bits(),
+            scratch.to_bits(),
+            "step {step}"
+        );
+        let hypothetical = db.pressure_for_index_bytes(1 << 30);
+        let want = scratch_pressure(db, 1 << 30);
+        assert_eq!(hypothetical.to_bits(), want.to_bits(), "step {step}");
+    }
+
+    /// One step of the resolved-view interleaving test.
+    enum ViewOp {
+        Create(usize),
+        Drop(usize),
+        Restore,
+        Absorb(&'static str, u64),
+        Grow(&'static str, u64),
+        Snapshot(usize),
+        TryExecute(usize),
+        Execute(usize),
+    }
+
+    /// Apply `op` to `db`, check the view afterwards, and return the
+    /// definition a drop removed.
+    fn apply_view_op(
+        db: &mut SimDb,
+        op: &ViewOp,
+        step: usize,
+        shapes: &[QueryShape],
+        pool: &[IndexDef],
+        restore: Option<&IndexDef>,
+    ) -> Option<IndexDef> {
+        let mut removed = None;
+        match *op {
+            ViewOp::Create(i) => {
+                let _ = db.create_index(pool[i].clone());
+            }
+            ViewOp::Drop(k) => {
+                let ids: Vec<IndexId> = db.indexes().map(|(id, _)| id).collect();
+                if !ids.is_empty() {
+                    removed = Some(db.drop_index(ids[k % ids.len()]).unwrap());
+                }
+            }
+            ViewOp::Restore => {
+                if let Some(def) = restore {
+                    db.restore_index(def.clone()).unwrap();
+                }
+            }
+            ViewOp::Absorb(table, rows) => db.absorb(&UsageDelta {
+                growth: Some((table.to_string(), rows)),
+                ..UsageDelta::default()
+            }),
+            ViewOp::Grow(table, rows) => db.catalog_mut().grow_table(table, rows).unwrap(),
+            ViewOp::Snapshot(i) => {
+                let snap = db.snapshot(step as u64);
+                assert_same_indexes(&snap.visible, &db.visible_real_indexes(), step);
+                let scratch = scratch_pressure(db, db.total_index_bytes());
+                assert_eq!(snap.pressure().to_bits(), scratch.to_bits(), "step {step}");
+                let (_, delta) = snap.execute_shape_at(&shapes[i], step as u64);
+                db.absorb(&delta);
+            }
+            ViewOp::TryExecute(i) => {
+                let _ = db.try_execute_shape(&shapes[i]);
+            }
+            ViewOp::Execute(i) => {
+                db.execute_shape(&shapes[i]);
+            }
+        }
+        assert_view_fresh(db, step);
+        removed
+    }
+
+    #[test]
+    fn resolved_view_matches_from_scratch_resolution_under_random_interleavings() {
+        let pool: Vec<IndexDef> = [
+            ("t", &["a"][..]),
+            ("t", &["b"]),
+            ("t", &["b", "c"]),
+            ("t", &["c"]),
+            ("u", &["a"]),
+            ("u", &["b"]),
+            ("u", &["c", "b"]),
+        ]
+        .iter()
+        .map(|(t, cols)| IndexDef::new(*t, cols))
+        .collect();
+        let sqls = [
+            "SELECT * FROM t WHERE a = 5",
+            "SELECT * FROM t WHERE b = 3 AND c = 'x'",
+            "SELECT * FROM u WHERE b = 2",
+            "SELECT COUNT(*) FROM u WHERE c = 'y'",
+            "INSERT INTO t (a, b, c) VALUES (1, 2, 'x')",
+            "INSERT INTO u (a, b, c) VALUES (1, 2, 'x')",
+        ];
+        for seed in 1..=8u64 {
+            // Odd seeds run under a 30% transient-fault plan.
+            let transient = if seed % 2 == 1 { 0.3 } else { 0.0 };
+            // `live` keeps its view; `reference` drops it before every step,
+            // so each of its executions resolves from scratch. Same seed,
+            // same ops: every measurement must agree bit for bit.
+            let mut live = view_db(seed, transient);
+            let mut reference = view_db(seed, transient);
+            let shapes: Vec<QueryShape> = sqls
+                .iter()
+                .map(|s| QueryShape::extract(&stmt(s), live.catalog()))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dropped: Vec<IndexDef> = Vec::new();
+            let mut viewed = 0;
+            for step in 0..300 {
+                let op = match rng.random_range(0..10u32) {
+                    0 => ViewOp::Create(rng.random_range(0..pool.len())),
+                    1 => ViewOp::Drop(rng.random_range(0..64usize)),
+                    2 => ViewOp::Restore,
+                    3 => ViewOp::Absorb(
+                        ["t", "u", "ghost"][rng.random_range(0..3usize)],
+                        rng.random_range(1..20_000u64),
+                    ),
+                    4 => ViewOp::Grow(
+                        ["t", "u"][rng.random_range(0..2usize)],
+                        rng.random_range(1..20_000u64),
+                    ),
+                    5 => ViewOp::Snapshot(rng.random_range(0..shapes.len())),
+                    6 => ViewOp::TryExecute(rng.random_range(0..shapes.len())),
+                    _ => ViewOp::Execute(rng.random_range(0..shapes.len())),
+                };
+                reference.catalog_mut();
+                let restore = dropped.last();
+                let a = apply_view_op(&mut live, &op, step, &shapes, &pool, restore);
+                let b = apply_view_op(&mut reference, &op, step, &shapes, &pool, restore);
+                assert_eq!(a, b, "step {step}");
+                match op {
+                    ViewOp::Drop(_) => dropped.extend(a),
+                    ViewOp::Restore => drop(dropped.pop()),
+                    _ => {}
+                }
+                viewed += live.valid_view().is_some() as usize;
+
+                let shape = &shapes[step % shapes.len()];
+                let a = live.execute_shape(shape);
+                let b = reference.execute_shape(shape);
+                assert_eq!(
+                    a.latency_ms.to_bits(),
+                    b.latency_ms.to_bits(),
+                    "step {step}"
+                );
+                assert_eq!(a.indexes_used, b.indexes_used, "step {step}");
+                assert_eq!(live.usage().statements, reference.usage().statements);
+                assert_eq!(live.catalog(), reference.catalog(), "step {step}");
+                assert_view_fresh(&live, step);
+            }
+            assert!(
+                viewed > 100,
+                "seed {seed}: the view was live for {viewed} steps"
+            );
+            assert!(
+                live.memory_pressure() > 1.0,
+                "seed {seed}: pressure never engaged"
+            );
+            let refreshes = live.metrics().counter_value("db.resolve.table_refreshes");
+            assert!(
+                refreshes > 0,
+                "seed {seed}: growth never refreshed the view"
+            );
+        }
+    }
+
+    #[test]
+    fn ddl_free_statement_stream_resolves_once() {
+        let mut db = view_db(7, 0.0);
+        db.create_index(IndexDef::new("t", &["b"])).unwrap();
+        db.create_index(IndexDef::new("u", &["a"])).unwrap();
+        let rebuilds = |db: &SimDb| db.metrics().counter_value("db.resolve.rebuilds");
+        let refreshes = |db: &SimDb| db.metrics().counter_value("db.resolve.table_refreshes");
+        assert_eq!(
+            rebuilds(&db),
+            0,
+            "constructors and DDL never build the view"
+        );
+
+        let sqls = [
+            "SELECT * FROM t WHERE b = 3",
+            "INSERT INTO t (a, b, c) VALUES (1, 2, 'x')",
+            "SELECT * FROM u WHERE a = 9",
+            "INSERT INTO u (a, b, c) VALUES (1, 2, 'x')",
+        ];
+        for _ in 0..25 {
+            for s in &sqls {
+                db.execute(&stmt(s));
+            }
+        }
+        assert_eq!(rebuilds(&db), 1);
+        assert_eq!(refreshes(&db), 50, "one refresh per insert");
+
+        // DDL drops the view; the next statement rebuilds it.
+        db.create_index(IndexDef::new("t", &["c"])).unwrap();
+        db.execute(&stmt(sqls[0]));
+        assert_eq!(rebuilds(&db), 2);
+
+        // The snapshot path never builds a view, so absorbing its growth
+        // costs nothing extra.
+        let mut fresh = view_db(7, 0.0);
+        let snap = fresh.snapshot(0);
+        let insert = QueryShape::extract(&stmt(sqls[1]), fresh.catalog());
+        let (_, delta) = snap.execute_shape_at(&insert, 0);
+        fresh.absorb(&delta);
+        assert!(fresh.view.is_none());
+        assert_eq!((rebuilds(&fresh), refreshes(&fresh)), (0, 0));
     }
 
     // ------------------------------------------------------- paged backend
