@@ -13,6 +13,8 @@
 //! * measurements run the same statement stream against the same database
 //!   state, resetting indexes between methods.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 use autoindex_core::{greedy_select, AutoIndex, AutoIndexConfig, GreedyConfig};

@@ -1,6 +1,6 @@
-//! Multi-tenant serving fleet: work-stealing executors, per-tenant
-//! lock-free snapshot publication, SLO-driven admission control and a
-//! regret-directed background tuner slot.
+//! Multi-tenant serving fleet: the shared work-stealing executor,
+//! per-tenant epoch snapshots, SLO-driven admission control and a
+//! regret-directed tuner slot.
 //!
 //! [`serve`](mod@crate::serve) proves the epoch-snapshot design at one
 //! database; [`serve_fleet`] multiplexes **many logical tenants** — each
@@ -14,7 +14,7 @@
 //!  │ t2 ░░░░░░│ (cursor holds)                        │ steal-half │
 //!  └──────────┘  Shed (cursor skips, counted)         └───────────-┘
 //!        ▲                                                  │
-//!        │           per-tenant ArcSlot<Publication> ◄──────┘ (lock-free)
+//!        │        tasks carry the tenant's Arc<Publication> ◄┘
 //!        │    ┌───────────────────────────────────────────┐
 //!        └────│ coordinator: merge observations on (tenant,│
 //!             │ seq), absorb per tenant, pick ONE tenant by│
@@ -24,18 +24,17 @@
 //! ```
 //!
 //! * **Work stealing.** Admitted slices are split into per-shard tasks
-//!   and spread round-robin over per-worker deques
-//!   ([`autoindex_support::steal::StealPool`]); an idle worker steals the
-//!   back half of a victim's deque. Scheduling is racy by design — the
-//!   transcript surface is merged on the `(tenant, seq)` logical clock,
-//!   so *which* worker ran a statement never shows.
-//! * **Lock-free publication.** Each tenant's epoch snapshot + compiled
-//!   template cache lives in its own
-//!   [`ArcSlot`]; workers clone the
-//!   `Arc` once per task with no lock and no epoch barrier — the fleet is
-//!   bulk-synchronous *by construction* (epoch `e+1` tasks exist only
-//!   after every epoch-`e` observation is processed), so a task's
-//!   publication is always already current.
+//!   and run on the shared serving executor (`executor.rs`), the same
+//!   work-stealing pool single-tenant [`serve`](crate::serve::serve) uses.
+//!   Scheduling is racy by design — the transcript surface is merged on
+//!   the `(tenant, seq)` logical clock, so *which* worker ran a statement
+//!   never shows.
+//! * **Publication without a slot.** Each task carries its tenant's
+//!   current epoch snapshot + compiled-template cache as an `Arc`. The
+//!   fleet is bulk-synchronous *by construction* (epoch `e+1` tasks exist
+//!   only after every epoch-`e` observation is processed), so a task's
+//!   publication is always current and no lock or epoch barrier is
+//!   needed.
 //! * **Admission control.** Every epoch, each unfinished tenant bids for
 //!   its next slice with an estimated cost (last observed per-statement
 //!   cost × slice length). [`decide_admission`] packs bids into the
@@ -53,8 +52,8 @@
 //!   checks them against the tenant's declared SLOs
 //!   ([`TenantSpec::slo_p50_ms`] / [`TenantSpec::slo_p99_ms`]);
 //!   violations feed `serve.tenant.slo_violations`.
-//! * **Tuner fleet slot.** One tenant per epoch (at most) gets the
-//!   background tuner: the pick is the tenant with the highest observed
+//! * **Tuner fleet slot.** One tenant per epoch (at most) gets a tuner
+//!   visit: the pick is the tenant with the highest observed
 //!   *regret* — last slice's mean latency vs its frozen baseline (best
 //!   mean ever observed) — above [`FleetConfig::regret_threshold`] and
 //!   out of cooldown. The visit reuses the single-tenant pipeline:
@@ -84,28 +83,27 @@
 //! its task back (front of its own deque, where a thief finds it first)
 //! and retires. Parked workers use *bounded* waits, so a remainder can
 //! never be stranded behind a sleeping peer; if every worker retires,
-//! the coordinator drains the pool inline with an unlimited budget.
+//! the coordinator drains the pool inline with an unlimited budget. A
+//! panic on the coordinator's side (for example in a tuner visit) stops
+//! the workers and returns an `Err` instead of hanging the run.
 
 use crate::error::{invalid, AutoIndexError};
-use crate::fastpath::FastPathCache;
+use crate::executor::{
+    self, panic_message, resolve_workers, shard_of, ExecMetrics, ExecSpec, ObservationPayload,
+    Publication, Task,
+};
 use crate::guard::GuardConfig;
-use crate::mcts::{ConfigSet, Universe};
+use crate::mcts::Universe;
 use crate::serve::{
-    execute_statement, lpt_makespan, shard_of, tuning_cooldown_over, ObservationPayload,
-    Publication, WorkerScratch,
+    absorb_executed, config_fingerprint, lpt_makespan, tuning_cooldown_over, tuning_round,
 };
 use crate::strategy::StrategyKind;
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
 use autoindex_storage::SimDb;
-use autoindex_support::arcswap::ArcSlot;
 use autoindex_support::obs::{Counter, MetricsRegistry};
 use autoindex_support::rng::derive_seed;
-use autoindex_support::steal::StealPool;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // --------------------------------------------------------------- config
@@ -219,16 +217,6 @@ impl FleetConfig {
     pub fn builder() -> FleetConfigBuilder {
         FleetConfigBuilder {
             cfg: FleetConfig::default(),
-        }
-    }
-
-    fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -409,88 +397,11 @@ pub fn decide_admission(
     out
 }
 
-// ------------------------------------------------------------- fleet gate
-
-/// Idle-parking for fleet workers. The fleet needs no epoch barrier
-/// (it is bulk-synchronous by construction), only a place for a worker
-/// to nap when the pool runs dry between epochs — with a *bounded* wait,
-/// so a retired worker's requeued remainder is always re-polled for and
-/// can never deadlock behind a sleeping peer.
-struct FleetGate {
-    done: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl FleetGate {
-    fn new() -> Self {
-        FleetGate {
-            done: AtomicBool::new(false),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn finish(&self) {
-        self.done.store(true, Ordering::Release);
-        self.wake_all();
-    }
-
-    fn wake_all(&self) {
-        let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        self.cv.notify_all();
-    }
-
-    /// Bounded nap (≤ 2 ms): wake-ups may be missed between a failed pop
-    /// and the park (the coordinator injects and notifies concurrently),
-    /// so the timeout — not the notification — is the liveness guarantee.
-    fn park(&self) {
-        if self.is_done() {
-            return;
-        }
-        let g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = self
-            .cv
-            .wait_timeout(g, Duration::from_millis(2))
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
-// ----------------------------------------------------------------- tasks
-
-/// One unit of fleet work: tenant `tenant`'s statements in
-/// `[start, end)` that map to `shard`, resuming at `resume_at` after an
-/// interrupted run.
-#[derive(Debug, Clone, Copy)]
-struct FleetTask {
-    tenant: u32,
-    epoch: u64,
-    start: u64,
-    end: u64,
-    shard: u64,
-    resume_at: u64,
-}
-
-/// One statement's result, stamped with its tenant and logical-clock
-/// position — the fleet's merge key is `(tenant, seq)`.
-#[derive(Debug)]
-struct FleetObservation {
-    tenant: u32,
-    epoch: u64,
-    seq: u64,
-    payload: ObservationPayload,
-}
-
 // --------------------------------------------------------------- metrics
 
 /// Cached `serve.tenant.*` / `serve.admission.*` / `serve.fleet.*`
-/// handles, bound into the fleet-owned registry
-/// ([`FleetOutcome::metrics`]).
-#[derive(Clone)]
+/// coordinator handles, bound into the fleet-owned registry
+/// ([`FleetOutcome::metrics`]); the executor binds the rest.
 struct FleetMetrics {
     tenant_executed: Counter,
     tenant_shed: Counter,
@@ -503,11 +414,6 @@ struct FleetMetrics {
     shed_slices: Counter,
     saturated_epochs: Counter,
     epochs: Counter,
-    worker_panics: Counter,
-    workers_retired: Counter,
-    fastpath_hits: autoindex_support::obs::ShardedCounter,
-    fastpath_misses: autoindex_support::obs::ShardedCounter,
-    fastpath_fallbacks: autoindex_support::obs::ShardedCounter,
 }
 
 impl FleetMetrics {
@@ -524,11 +430,6 @@ impl FleetMetrics {
             shed_slices: m.counter("serve.admission.shed_slices"),
             saturated_epochs: m.counter("serve.admission.saturated_epochs"),
             epochs: m.counter("serve.fleet.epochs"),
-            worker_panics: m.counter("serve.fleet.worker_panics"),
-            workers_retired: m.counter("serve.fleet.workers_retired"),
-            fastpath_hits: m.sharded_counter("sql.fastpath.hits"),
-            fastpath_misses: m.sharded_counter("sql.fastpath.misses"),
-            fastpath_fallbacks: m.sharded_counter("sql.fastpath.fallbacks"),
         }
     }
 }
@@ -812,132 +713,6 @@ pub struct FleetOutcome<E: CostEstimator> {
     pub metrics: MetricsRegistry,
 }
 
-// --------------------------------------------------------------- workers
-
-/// Read-only state shared with the executor threads.
-struct FleetShared<'a> {
-    cfg: &'a FleetConfig,
-    pool: &'a StealPool<FleetTask>,
-    gate: &'a FleetGate,
-    /// Per-tenant publication slots (workers load, coordinator stores).
-    slots: &'a [ArcSlot<Publication>],
-    /// Per-tenant query streams.
-    queries: &'a [Arc<Vec<String>>],
-    /// Per-tenant shard seeds (`derive_seed(cfg.seed, tenant)`).
-    seeds: &'a [u64],
-    metrics: &'a FleetMetrics,
-    /// Workers still running (used by the coordinator to detect that the
-    /// whole pool retired and it must drain inline).
-    live: &'a AtomicUsize,
-}
-
-/// Execute the remaining statements of one task, emitting one
-/// observation per sequence slot. Returns `None` normally, or the
-/// remainder task when the panic budget ran out mid-task (the caller
-/// retires). `emit` returning `false` means the coordinator is gone.
-fn run_fleet_task(
-    shared: &FleetShared,
-    task: FleetTask,
-    scratch: &mut WorkerScratch,
-    panics: &mut u64,
-    max_panics: u64,
-    emit: &mut dyn FnMut(FleetObservation) -> bool,
-) -> Option<FleetTask> {
-    let publication = shared.slots[task.tenant as usize].load();
-    scratch.pin((task.tenant as u64, publication.snap.epoch));
-    let queries = &shared.queries[task.tenant as usize];
-    let seed = shared.seeds[task.tenant as usize];
-    for seq in task.resume_at.max(task.start)..task.end {
-        if shard_of(seed, seq, shared.cfg.shards) != task.shard {
-            continue;
-        }
-        let payload = match catch_unwind(AssertUnwindSafe(|| {
-            if shared.cfg.panic_on.contains(&(task.tenant, seq)) {
-                panic!("injected fleet panic at tenant {} seq {seq}", task.tenant);
-            }
-            execute_statement(
-                &publication,
-                &queries[seq as usize],
-                seq,
-                shared.cfg.fastpath,
-                scratch,
-            )
-        })) {
-            Ok(p) => p,
-            Err(_) => {
-                shared.metrics.worker_panics.incr();
-                *panics += 1;
-                ObservationPayload::Panicked
-            }
-        };
-        let panicked = matches!(payload, ObservationPayload::Panicked);
-        if !emit(FleetObservation {
-            tenant: task.tenant,
-            epoch: task.epoch,
-            seq,
-            payload,
-        }) {
-            return None;
-        }
-        if panicked && *panics > max_panics {
-            return (seq + 1 < task.end).then_some(FleetTask {
-                resume_at: seq + 1,
-                ..task
-            });
-        }
-    }
-    None
-}
-
-/// The fleet executor loop: pop (or steal) a task, run it against the
-/// tenant's current publication, ship observations; park briefly when
-/// the pool runs dry. Retires after exhausting the panic budget, handing
-/// the task remainder to the front of its own deque (where a thief finds
-/// it first).
-fn fleet_worker(
-    shared: &FleetShared,
-    tx: &SyncSender<FleetObservation>,
-    max_panics: u64,
-    slot: usize,
-) {
-    let mut scratch = WorkerScratch::with_cells(
-        shared.metrics.fastpath_hits.cell(slot),
-        shared.metrics.fastpath_misses.cell(slot),
-        shared.metrics.fastpath_fallbacks.cell(slot),
-    );
-    let mut panics = 0u64;
-    let mut emit = |o: FleetObservation| tx.send(o).is_ok();
-    loop {
-        let Some(task) = shared.pool.pop(slot) else {
-            if shared.gate.is_done() {
-                break;
-            }
-            shared.gate.park();
-            continue;
-        };
-        let budget_left = panics <= max_panics;
-        if let Some(remainder) = run_fleet_task(
-            shared,
-            task,
-            &mut scratch,
-            &mut panics,
-            max_panics,
-            &mut emit,
-        ) {
-            shared.pool.push_front(slot, remainder);
-        }
-        if budget_left && panics > max_panics {
-            // Budget just ran out: retire. The remainder (if any) is
-            // already queued; peers poll with bounded parks, so it is
-            // picked up without an explicit wake.
-            shared.metrics.workers_retired.incr();
-            shared.live.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-    }
-    shared.live.fetch_sub(1, Ordering::SeqCst);
-}
-
 // ------------------------------------------------------------ coordinator
 
 /// Coordinator-owned per-tenant state.
@@ -947,6 +722,8 @@ struct TenantState<E: CostEstimator> {
     advisor: AutoIndex<E>,
     queries: Arc<Vec<String>>,
     universe: Universe,
+    /// The tenant's current epoch snapshot + compiled-template cache.
+    publication: Arc<Publication>,
     /// Next unprocessed sequence number of the tenant's stream.
     cursor: u64,
     slices: Vec<TenantSliceRecord>,
@@ -979,18 +756,6 @@ impl<E: CostEstimator> TenantState<E> {
         self.last_mean_ms.unwrap_or(cfg.assumed_stmt_cost_ms) * take as f64
     }
 
-    /// `ConfigSet` fingerprint of the current real index set, interned
-    /// into this tenant's universe (sorted by key — deterministic).
-    fn config_fingerprint(&mut self) -> u64 {
-        let mut defs: Vec<_> = self.db.indexes().map(|(_, d)| d.clone()).collect();
-        defs.sort_by_key(|d| d.key());
-        let mut set = ConfigSet::default();
-        for d in &defs {
-            set.insert(self.universe.intern(d));
-        }
-        set.fingerprint()
-    }
-
     /// One tuner visit: diagnose, then run the session pipeline if
     /// diagnosis fired. Returns the canonical decision string.
     fn visit(&mut self, cfg: &FleetConfig, epoch: u64) -> String {
@@ -1006,32 +771,12 @@ impl<E: CostEstimator> TenantState<E> {
         if !diagnosis.should_tune {
             return format!("{prefix}quiet");
         }
-        let session = self.advisor.session(&mut self.db);
-        let run = match cfg.guard.clone() {
-            Some(g) => session.guarded(g).run(),
-            None => session.run(),
-        };
-        let decision = match run {
-            Err(e) => format!("error({e})"),
-            Ok(out) => {
-                if out.shadow_rejected() {
-                    "shadow_rejected".to_string()
-                } else if out.rolled_back() {
-                    "rolled_back".to_string()
-                } else if out.report.recommendation.is_noop() {
-                    "noop".to_string()
-                } else {
-                    format!(
-                        "applied(+{},-{})",
-                        out.report.created.len(),
-                        out.report.dropped.len()
-                    )
-                }
-            }
-        };
-        if cfg.reset_usage_after_tuning {
-            self.db.reset_usage();
-        }
+        let decision = tuning_round(
+            &mut self.advisor,
+            &mut self.db,
+            cfg.guard.clone(),
+            cfg.reset_usage_after_tuning,
+        );
         format!("{prefix}{decision}")
     }
 }
@@ -1062,13 +807,15 @@ struct PendingSlice {
 ///
 /// Consumes the tenants (their databases and advisors evolve during the
 /// run) and returns them in [`FleetOutcome::tenants`], together with the
-/// fleet report and the fleet-owned metrics registry.
-pub fn serve_fleet<E: CostEstimator + Send>(
+/// fleet report and the fleet-owned metrics registry. A panic on the
+/// coordinator's side (for example in a tuner visit) is reported as an
+/// `Err` once the workers have stopped.
+pub fn serve_fleet<E: CostEstimator>(
     tenants: Vec<FleetTenant<E>>,
     config: FleetConfig,
 ) -> Result<FleetOutcome<E>, AutoIndexError> {
     let config = FleetConfigBuilder { cfg: config }.build()?;
-    let workers = config.resolved_workers();
+    let workers = resolve_workers(config.workers);
     let started = Instant::now();
 
     let registry = MetricsRegistry::new();
@@ -1081,28 +828,14 @@ pub fn serve_fleet<E: CostEstimator + Send>(
         .gauge("serve.admission.capacity_ms")
         .set(config.epoch_capacity_ms);
 
-    // Per-tenant state + initial (epoch 0) publications.
+    // Per-tenant state with its initial (epoch 0) publication.
     let mut states: Vec<TenantState<E>> = Vec::with_capacity(tenants.len());
-    let mut slots: Vec<ArcSlot<Publication>> = Vec::with_capacity(tenants.len());
-    let mut queries: Vec<Arc<Vec<String>>> = Vec::with_capacity(tenants.len());
-    let mut seeds: Vec<u64> = Vec::with_capacity(tenants.len());
-    for (t, mut tenant) in tenants.into_iter().enumerate() {
+    for mut tenant in tenants {
         if let Some(k) = config.tuner_strategy {
             tenant.advisor.set_strategy(k);
         }
-        let snap = Arc::new(tenant.db.snapshot(0));
-        let cache = if config.fastpath {
-            Arc::new(FastPathCache::build(
-                tenant.advisor.templates().entries(),
-                snap.catalog(),
-            ))
-        } else {
-            Arc::new(FastPathCache::empty())
-        };
-        slots.push(ArcSlot::new(Arc::new(Publication { snap, cache })));
-        queries.push(Arc::clone(&tenant.queries));
-        seeds.push(derive_seed(config.seed, t as u64));
         states.push(TenantState {
+            publication: Publication::build(&tenant.db, &tenant.advisor, 0, config.fastpath),
             spec: tenant.spec,
             db: tenant.db,
             advisor: tenant.advisor,
@@ -1125,40 +858,27 @@ pub fn serve_fleet<E: CostEstimator + Send>(
             last_tuned_epoch: None,
         });
     }
-
-    let pool: StealPool<FleetTask> = StealPool::new(workers);
-    let gate = FleetGate::new();
-    let live = AtomicUsize::new(workers);
-    let shared = FleetShared {
-        cfg: &config,
-        pool: &pool,
-        gate: &gate,
-        slots: &slots,
-        queries: &queries,
-        seeds: &seeds,
-        metrics: &metrics,
-        live: &live,
+    // Shard seeds: tenant `t` uses `derive_seed(seed, t)`.
+    let seeds: Vec<u64> = (0..states.len() as u64)
+        .map(|t| derive_seed(config.seed, t))
+        .collect();
+    let streams: Vec<Arc<Vec<String>>> = states.iter().map(|st| Arc::clone(&st.queries)).collect();
+    let spec = ExecSpec {
+        workers,
+        shards: config.shards,
+        channel_capacity: config.channel_capacity,
+        fastpath: config.fastpath,
+        max_worker_panics: config.max_worker_panics,
+        panic_on: config.panic_on.clone(),
+        queries: streams.iter().map(|q| q.as_slice()).collect(),
+        seeds: seeds.clone(),
+        metrics: ExecMetrics::bind(&registry, "serve.fleet"),
     };
-    let (tx, rx) = mpsc::sync_channel::<FleetObservation>(config.channel_capacity);
 
     let mut epochs: Vec<FleetEpochRecord> = Vec::new();
     let mut sim_makespan_ms = 0.0f64;
 
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let shared = &shared;
-            let max = config.max_worker_panics;
-            s.spawn(move || fleet_worker(shared, &tx, max, w));
-        }
-        drop(tx); // the coordinator only receives
-
-        let mut coord_scratch = WorkerScratch::with_cells(
-            metrics.fastpath_hits.cell(workers),
-            metrics.fastpath_misses.cell(workers),
-            metrics.fastpath_fallbacks.cell(workers),
-        );
-
+    let (result, stats) = executor::run(spec, |exec| {
         let mut epoch = 0u64;
         loop {
             // ---- admission: every unfinished tenant bids for a slice.
@@ -1181,7 +901,7 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                 config.shed_floor_priority,
             );
 
-            let mut tasks: Vec<FleetTask> = Vec::new();
+            let mut tasks: Vec<Task> = Vec::new();
             let mut expected = 0u64;
             let mut pending: Vec<PendingSlice> = Vec::new();
             // Tenant → index into the epoch's LPT item vector (admitted
@@ -1200,45 +920,39 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                 let t = d.tenant as usize;
                 let st = &mut states[t];
                 let take = config.epoch_interval.min(st.len() - st.cursor);
-                let slice = st.slices.len() as u64 + pending_count(&pending, t);
+                let slice = st.slices.len() as u64;
+                let mut record = TenantSliceRecord {
+                    slice,
+                    epoch,
+                    statements: take,
+                    executed: 0,
+                    parse_failures: 0,
+                    panics: 0,
+                    shed: 0,
+                    p50_ms: 0.0,
+                    p99_ms: 0.0,
+                    slo_ok: true,
+                    decision: "admit".to_string(),
+                    config_fingerprint: 0,
+                    index_count: 0,
+                    sim_latency_ms: 0.0,
+                };
                 match d.admission {
                     Admission::Admit => {
                         let (start, end) = (st.cursor, st.cursor + take);
                         item_base[t] = Some(rec.admitted as usize * config.shards as usize);
-                        for shard in 0..config.shards {
-                            tasks.push(FleetTask {
-                                tenant: d.tenant,
-                                epoch,
-                                start,
-                                end,
-                                shard,
-                                resume_at: start,
-                            });
-                        }
+                        tasks.extend((0..config.shards).map(|shard| Task {
+                            tenant: d.tenant,
+                            epoch,
+                            start,
+                            end,
+                            shard,
+                            publication: Arc::clone(&st.publication),
+                        }));
                         st.cursor = end;
                         expected += take;
                         rec.admitted += 1;
-                        rec.statements += take;
                         metrics.admitted_slices.incr();
-                        pending.push(PendingSlice {
-                            tenant: t,
-                            record: TenantSliceRecord {
-                                slice,
-                                epoch,
-                                statements: take,
-                                executed: 0,
-                                parse_failures: 0,
-                                panics: 0,
-                                shed: 0,
-                                p50_ms: 0.0,
-                                p99_ms: 0.0,
-                                slo_ok: true,
-                                decision: "admit".to_string(),
-                                config_fingerprint: 0,
-                                index_count: 0,
-                                sim_latency_ms: 0.0,
-                            },
-                        });
                     }
                     Admission::Shed => {
                         st.cursor += take;
@@ -1248,79 +962,52 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                         metrics.tenant_slo_violations.incr();
                         metrics.shed_slices.incr();
                         rec.shed += 1;
-                        rec.statements += take;
-                        pending.push(PendingSlice {
-                            tenant: t,
-                            record: TenantSliceRecord {
-                                slice,
-                                epoch,
-                                statements: take,
-                                executed: 0,
-                                parse_failures: 0,
-                                panics: 0,
-                                shed: take,
-                                p50_ms: 0.0,
-                                p99_ms: 0.0,
-                                slo_ok: false,
-                                decision: "shed".to_string(),
-                                config_fingerprint: 0,
-                                index_count: 0,
-                                sim_latency_ms: 0.0,
-                            },
-                        });
+                        record.shed = take;
+                        record.slo_ok = false;
+                        record.decision = "shed".to_string();
                     }
                     Admission::Defer => {
                         st.deferrals += 1;
                         metrics.tenant_deferrals.incr();
                         metrics.deferred_slices.incr();
                         rec.deferred += 1;
+                        continue;
                     }
                 }
+                rec.statements += take;
+                pending.push(PendingSlice { tenant: t, record });
             }
             rec.saturated = rec.deferred > 0 || rec.shed > 0;
             if rec.saturated {
                 metrics.saturated_epochs.incr();
             }
 
-            // ---- fan out and collect exactly `expected` observations.
-            pool.inject(tasks);
-            gate.wake_all();
-            let mut got: Vec<FleetObservation> = Vec::with_capacity(expected as usize);
-            collect_epoch(&rx, &shared, &mut coord_scratch, expected, &mut got);
-
-            // ---- merge on the (tenant, seq) logical clock and absorb.
-            got.sort_unstable_by_key(|o| (o.tenant, o.seq));
+            // ---- fan out, collect exactly `expected` observations merged
+            // on the (tenant, seq) logical clock, and absorb.
+            let got = exec.run(tasks, expected);
             debug_assert!(got.iter().all(|o| o.epoch == epoch));
             let mut item_ms = vec![0.0f64; rec.admitted as usize * config.shards as usize];
             let mut latencies: Vec<f64> = Vec::new();
-            let mut i = 0usize;
-            while i < got.len() {
-                let t = got[i].tenant as usize;
-                let end = got[i..]
-                    .iter()
-                    .position(|o| o.tenant as usize != t)
-                    .map_or(got.len(), |p| i + p);
+            for tenant_obs in got.chunk_by(|a, b| a.tenant == b.tenant) {
+                let t = tenant_obs[0].tenant as usize;
                 let st = &mut states[t];
-                let slice_rec = pending
+                let slice_rec = &mut pending
                     .iter_mut()
                     .find(|p| p.tenant == t)
-                    .expect("admitted tenant has a pending slice");
+                    .expect("admitted tenant has a pending slice")
+                    .record;
                 latencies.clear();
-                for o in &got[i..end] {
+                for o in tenant_obs {
                     match &o.payload {
                         ObservationPayload::Executed { outcome, delta, fp } => {
-                            st.db.absorb(delta);
                             let sql = &st.queries[o.seq as usize];
-                            let _ = match fp {
-                                Some(h) => st.advisor.observe_prehashed(*h, sql, &st.db),
-                                None => st.advisor.observe(sql, &st.db),
-                            };
+                            absorb_executed(&mut st.db, &mut st.advisor, sql, delta, *fp);
                             match fp {
                                 Some(_) => st.fastpath_hits += 1,
                                 None => st.fastpath_misses += 1,
                             }
-                            slice_rec.record.executed += 1;
-                            slice_rec.record.sim_latency_ms += outcome.latency_ms;
+                            slice_rec.executed += 1;
+                            slice_rec.sim_latency_ms += outcome.latency_ms;
                             latencies.push(outcome.latency_ms);
                             let base = item_base[t].expect("admitted tenant has items");
                             item_ms[base + shard_of(seeds[t], o.seq, config.shards) as usize] +=
@@ -1328,23 +1015,23 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                             metrics.tenant_executed.incr();
                         }
                         ObservationPayload::ParseFailed => {
-                            slice_rec.record.parse_failures += 1;
+                            slice_rec.parse_failures += 1;
                             metrics.tenant_parse_failures.incr();
                         }
-                        ObservationPayload::Panicked => slice_rec.record.panics += 1,
+                        ObservationPayload::Panicked => slice_rec.panics += 1,
                     }
                 }
                 latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                slice_rec.record.p50_ms = percentile(&latencies, 0.50);
-                slice_rec.record.p99_ms = percentile(&latencies, 0.99);
-                if slice_rec.record.executed > 0 {
-                    slice_rec.record.slo_ok = slice_rec.record.p50_ms <= st.spec.slo_p50_ms
-                        && slice_rec.record.p99_ms <= st.spec.slo_p99_ms;
-                    if !slice_rec.record.slo_ok {
+                slice_rec.p50_ms = percentile(&latencies, 0.50);
+                slice_rec.p99_ms = percentile(&latencies, 0.99);
+                if slice_rec.executed > 0 {
+                    slice_rec.slo_ok = slice_rec.p50_ms <= st.spec.slo_p50_ms
+                        && slice_rec.p99_ms <= st.spec.slo_p99_ms;
+                    if !slice_rec.slo_ok {
                         st.slo_violations += 1;
                         metrics.tenant_slo_violations.incr();
                     }
-                    let mean = slice_rec.record.sim_latency_ms / slice_rec.record.executed as f64;
+                    let mean = slice_rec.sim_latency_ms / slice_rec.executed as f64;
                     st.last_mean_ms = Some(mean);
                     st.best_mean_ms = st.best_mean_ms.min(mean);
                     if config.tuner_strategy == Some(StrategyKind::Bandit) {
@@ -1353,7 +1040,6 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                         st.advisor.observe_reward(mean);
                     }
                 }
-                i = end;
             }
             sim_makespan_ms += lpt_makespan(item_ms, workers);
 
@@ -1378,23 +1064,21 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                     pick = Some((t, regret));
                 }
             }
-            let visited = if let Some((t, regret)) = pick {
+            let visited = pick.map(|(t, regret)| {
                 let decision = states[t].visit(&config, epoch);
                 metrics.tenant_tuning_visits.incr();
                 rec.visit = format!(
                     "tenant={} regret={regret:.6} decision={decision}",
                     states[t].spec.name
                 );
-                Some(t)
-            } else {
-                None
-            };
+                t
+            });
 
             // ---- finalize this epoch's slice records and republish.
             for p in pending {
                 let st = &mut states[p.tenant];
                 let mut record = p.record;
-                record.config_fingerprint = st.config_fingerprint();
+                record.config_fingerprint = config_fingerprint(&st.db, &mut st.universe);
                 record.index_count = st.db.index_count();
                 st.executed += record.executed;
                 st.parse_failures += record.parse_failures;
@@ -1402,37 +1086,32 @@ pub fn serve_fleet<E: CostEstimator + Send>(
                 st.total_sim_latency_ms += record.sim_latency_ms;
                 st.slices.push(record);
             }
-            for (t, st) in states.iter().enumerate() {
-                let touched = item_base[t].is_some() || visited == Some(t);
-                if !touched {
-                    continue;
+            for (t, st) in states.iter_mut().enumerate() {
+                if item_base[t].is_some() || visited == Some(t) {
+                    st.publication =
+                        Publication::build(&st.db, &st.advisor, epoch + 1, config.fastpath);
                 }
-                let snap = Arc::new(st.db.snapshot(epoch + 1));
-                let cache = if config.fastpath {
-                    Arc::new(FastPathCache::build(
-                        st.advisor.templates().entries(),
-                        snap.catalog(),
-                    ))
-                } else {
-                    Arc::new(FastPathCache::empty())
-                };
-                slots[t].store(Arc::new(Publication { snap, cache }));
             }
 
             metrics.epochs.incr();
             epochs.push(rec);
             epoch += 1;
         }
-
-        gate.finish();
-        // Scope join: the spawned workers exit on the done flag.
     });
+    if let Err(payload) = result {
+        return Err(invalid(
+            "fleet.coordinator",
+            format!(
+                "the coordinator panicked ({}); the run was aborted",
+                panic_message(&*payload)
+            ),
+        ));
+    }
 
-    let workers_retired = registry.counter_value("serve.fleet.workers_retired") as usize;
-    registry.counter("serve.fleet.steals").add(pool.steals());
+    registry.counter("serve.fleet.steals").add(stats.steals);
     registry
         .counter("serve.fleet.stolen_tasks")
-        .add(pool.stolen_tasks());
+        .add(stats.stolen_tasks);
 
     let tenant_reports: Vec<TenantReport> = states
         .iter()
@@ -1468,9 +1147,9 @@ pub fn serve_fleet<E: CostEstimator + Send>(
         saturated_epochs: registry.counter_value("serve.admission.saturated_epochs"),
         slo_violations: tenant_reports.iter().map(|t| t.slo_violations).sum(),
         tuning_visits: tenant_reports.iter().map(|t| t.tuning_visits).sum(),
-        workers_retired,
-        steals: pool.steals(),
-        stolen_tasks: pool.stolen_tasks(),
+        workers_retired: stats.workers_retired,
+        steals: stats.steals,
+        stolen_tasks: stats.stolen_tasks,
         total_sim_latency_ms: tenant_reports.iter().map(|t| t.total_sim_latency_ms).sum(),
         sim_makespan_ms,
         epochs,
@@ -1492,47 +1171,6 @@ pub fn serve_fleet<E: CostEstimator + Send>(
         report,
         metrics: registry,
     })
-}
-
-/// Slices already queued for `tenant` this epoch (0 or 1 — a tenant bids
-/// once per epoch; kept as a function for clarity at the call site).
-fn pending_count(pending: &[PendingSlice], tenant: usize) -> u64 {
-    pending.iter().filter(|p| p.tenant == tenant).count() as u64
-}
-
-/// Receive exactly `expected` observations for the current epoch. If
-/// every worker has retired with tasks still queued, drain the pool
-/// inline (unlimited panic budget — each sequence slot panics at most
-/// once) so the epoch always completes.
-fn collect_epoch(
-    rx: &Receiver<FleetObservation>,
-    shared: &FleetShared,
-    scratch: &mut WorkerScratch,
-    expected: u64,
-    got: &mut Vec<FleetObservation>,
-) {
-    while (got.len() as u64) < expected {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(o) => got.push(o),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                while let Ok(o) = rx.try_recv() {
-                    got.push(o);
-                }
-                if shared.live.load(Ordering::SeqCst) == 0 && (got.len() as u64) < expected {
-                    let mut panics = 0u64;
-                    let mut emit = |o: FleetObservation| {
-                        got.push(o);
-                        true
-                    };
-                    while let Some(task) = shared.pool.pop(0) {
-                        let left =
-                            run_fleet_task(shared, task, scratch, &mut panics, u64::MAX, &mut emit);
-                        debug_assert!(left.is_none(), "unlimited budget never retires");
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

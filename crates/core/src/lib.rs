@@ -42,24 +42,26 @@
 //!   replaces the historical `tune`/`recommend`/`apply_recommendation`
 //!   entry points.
 //! * [`mod@serve`] — the concurrent online serving pipeline
-//!   (`docs/SERVING.md`): sharded executor threads drain the query stream
-//!   against epoch-versioned database snapshots while a single background
-//!   tuner thread merges their observations, runs diagnosis/tuning and
-//!   publishes configuration swaps at epoch boundaries; a deterministic
-//!   mode makes the whole pipeline worker-count invariant.
+//!   (`docs/SERVING.md`): executor workers drain the sharded query stream
+//!   against epoch snapshots while the calling thread merges their
+//!   observations, runs diagnosis/tuning and publishes configuration
+//!   swaps at epoch boundaries; transcripts are worker-count invariant.
 //! * [`mod@fleet`] — the multi-tenant serving fleet (`docs/SERVING.md`):
-//!   many tenant databases multiplexed over one work-stealing executor
-//!   pool with per-tenant lock-free snapshot publication, SLO-driven
-//!   admission control (admit / defer / shed) and a regret-directed
-//!   background tuner fleet slot; per-tenant transcripts stay
-//!   worker-count invariant.
+//!   many tenant databases multiplexed over the same executor, with
+//!   SLO-driven admission control (admit / defer / shed) and a
+//!   regret-directed tuner fleet slot; per-tenant transcripts stay
+//!   worker-count invariant. Both run on one work-stealing executor
+//!   (`executor.rs`) and differ only in their coordinator's policy.
 //! * [`error`] — [`error::AutoIndexError`], the crate-wide error type.
+
+#![forbid(unsafe_code)]
 
 pub mod bandit;
 pub mod candgen;
 pub mod delta;
 pub mod diagnosis;
 pub mod error;
+mod executor;
 pub mod fastpath;
 pub mod fleet;
 pub mod greedy;

@@ -18,9 +18,9 @@
 //! database, consuming its query log — made safe to leave unattended.
 //!
 //! `OnlineAutoIndex` is single-threaded: execution and tuning interleave
-//! on one thread. For the concurrent deployment shape — sharded executor
-//! threads plus a background tuner publishing configuration swaps at
-//! epoch boundaries — see [`mod@crate::serve`] and `docs/SERVING.md`.
+//! on one thread. For the concurrent deployment shape — executor threads
+//! plus a coordinator publishing configuration swaps at epoch
+//! boundaries — see [`mod@crate::serve`] and `docs/SERVING.md`.
 
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;

@@ -235,3 +235,92 @@ fn saturated_banking_fleet_protects_priorities_and_accounts_exactly_once() {
         out.report.executed
     );
 }
+
+// ------------------------------------------------ 4. coordinator panic
+
+/// An estimator that panics whenever it is asked to price a shape, so the
+/// first tuner visit brings the coordinator down.
+struct PanickingEstimator;
+
+impl autoindex_estimator::CostEstimator for PanickingEstimator {
+    fn shape_cost(
+        &self,
+        _: &SimDb,
+        _: &autoindex_storage::QueryShape,
+        _: &[autoindex_storage::IndexDef],
+    ) -> f64 {
+        panic!("estimator failure")
+    }
+}
+
+/// Regression: a panic in a tuner visit must still shut the executor
+/// down and end the run with an `Err`, not leave the workers parked
+/// forever with `serve_fleet` never returning. Tenant "drift" switches
+/// from point lookups to scans, so its regret earns it a visit.
+#[test]
+fn coordinator_panic_returns_err_instead_of_hanging() {
+    use autoindex_storage::catalog::{Catalog, Column, TableBuilder};
+    let tenant = |name: &str, queries: Vec<String>, seed: u64| {
+        let mut catalog = Catalog::new();
+        catalog.add_table(
+            TableBuilder::new("t", 500_000)
+                .column(Column::int("id", 500_000))
+                .column(Column::int("a", 250_000))
+                .column(Column::int("b", 2_000))
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        );
+        let db_cfg = SimDbConfig {
+            seed,
+            ..Default::default()
+        };
+        FleetTenant {
+            spec: TenantSpec {
+                name: name.to_string(),
+                priority: 1,
+                slo_p50_ms: 1e9,
+                slo_p99_ms: 1e9,
+            },
+            db: SimDb::with_metrics(catalog, db_cfg, MetricsRegistry::new()),
+            advisor: AutoIndex::new(AutoIndexConfig::default(), PanickingEstimator),
+            queries: Arc::new(queries),
+        }
+    };
+    let lookups = |n: u64, salt: u64| -> Vec<String> {
+        (0..n)
+            .map(|i| format!("SELECT * FROM t WHERE a = {}", i + salt))
+            .collect()
+    };
+    let mut drift = lookups(300, 0);
+    drift.extend((0..300).map(|i| {
+        format!(
+            "SELECT b, COUNT(*) FROM t WHERE b > {} GROUP BY b ORDER BY b",
+            i % 50
+        )
+    }));
+    let tenants = vec![
+        tenant("steady", lookups(600, 70_000), 1),
+        tenant("drift", drift, 2),
+    ];
+    let cfg = FleetConfig::builder()
+        .workers(2)
+        .epoch_interval(100)
+        .regret_threshold(0.10)
+        .build()
+        .unwrap();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let out = serve_fleet(tenants, cfg);
+        let _ = tx.send(out.err().map(|e| e.to_string()));
+    });
+    let err = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("serve_fleet hung (or panicked) after a coordinator panic");
+    run.join()
+        .expect("the serve_fleet thread finished after sending");
+    let err = err.expect("a tuner visit panicked, so serve_fleet must return Err");
+    assert!(err.contains("fleet.coordinator"), "{err}");
+    assert!(err.contains("estimator failure"), "{err}");
+}

@@ -6,14 +6,19 @@
 //!    yields byte-identical counters to the sequential order. This is the
 //!    algebraic core of the determinism contract.
 //! 2. **Worker-count invariance** (integration) — the same banking stream
-//!    served deterministically with 1, 2 and 4 workers produces identical
+//!    served with 1, 2 and 4 workers produces identical
 //!    transcripts: same diagnosis firings, same tuning decisions, same
 //!    `ConfigSet` fingerprints, same simulated latencies.
 //! 3. **Crash safety** — injected worker panics are caught at the
-//!    statement fence: the epoch lock is never poisoned, the tuner keeps
-//!    publishing epochs, every sequence slot stays accounted, the
-//!    `serve.worker_panics` counter is truthful, and the surviving
-//!    transcript is *still* worker-count invariant.
+//!    statement fence: the coordinator keeps publishing epochs, every
+//!    sequence slot stays accounted, the `serve.worker_panics` counter is
+//!    truthful, and the surviving transcript is *still* worker-count
+//!    invariant. A panic on the coordinator's side ends the run with an
+//!    `Err`, never a hang.
+//! 4. **Fast-path neutrality** — the compiled-template fast path changes
+//!    no transcript byte.
+//! 5. **Pinned digests** — transcript digests and simulated makespans of
+//!    the throughput bench's stream, fixed across commits.
 
 use autoindex_core::{
     logical_merge, serve, AutoIndex, AutoIndexConfig, Observation, ObservationPayload, ServeConfig,
@@ -99,6 +104,7 @@ fn gen_batch(rng: &mut StdRng, size: usize) -> Vec<Observation> {
                 }
             };
             Observation {
+                tenant: 0,
                 seq,
                 epoch: 0,
                 payload,
@@ -171,7 +177,6 @@ fn deterministic_serve_is_worker_count_invariant_on_banking() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(500)
-            .deterministic(true)
             .seed(97)
             .build()
             .unwrap();
@@ -198,7 +203,6 @@ fn deterministic_serve_with_guard_is_worker_count_invariant() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(250)
-            .deterministic(true)
             .guard(GuardConfig::default())
             .build()
             .unwrap();
@@ -234,7 +238,6 @@ fn final_partial_epoch_is_exact_and_worker_count_invariant() {
                 let cfg = ServeConfig::builder()
                     .workers(workers)
                     .epoch_interval(interval)
-                    .deterministic(true)
                     .seed(13)
                     .build()
                     .unwrap();
@@ -267,7 +270,6 @@ fn worker_panics_never_poison_the_pipeline() {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(300)
-            .deterministic(true)
             .max_worker_panics(0) // first caught panic retires the worker
             .panic_on(panic_seqs.clone())
             .build()
@@ -313,27 +315,26 @@ fn worker_panics_never_poison_the_pipeline() {
 }
 
 /// Regression (PR8 satellite): a worker retiring **mid-epoch** must never
-/// deadlock publication. The epoch barrier counts retired workers out of
-/// the quorum with bounded-wait slices; the hazard is a worker that dies
-/// between contributing some of an epoch's observations and reaching the
-/// barrier — if the barrier still waited for it (or a spurious wakeup
-/// re-armed the wait with a stale quorum), the tuner would hang forever
-/// at that epoch boundary. Kill every worker inside the *same* epoch and
-/// demand the run still completes, fully accounted, with the surviving
-/// transcript worker-count invariant.
+/// deadlock an epoch. The hazard is a worker that dies between
+/// contributing some of an epoch's observations and finishing its task:
+/// its remainder must be picked up by a peer (bounded parks, so nobody
+/// sleeps through it) or, once every worker has retired, drained by the
+/// coordinator itself — otherwise the coordinator would wait forever for
+/// that epoch's last observations. Kill every worker inside the *same*
+/// epoch and demand the run still completes, fully accounted, with the
+/// surviving transcript worker-count invariant.
 #[test]
 fn mid_epoch_retirement_never_deadlocks() {
     let queries = banking_queries(900, 61);
     // All panic seqs land inside epoch 1 (300..600) with a 300-interval:
     // with a zero panic budget and 3 workers, all three executors retire
-    // in the middle of the same epoch, leaving the tuner alone to drain
-    // the remainder and publish the boundary.
+    // in the middle of the same epoch, leaving the coordinator alone to
+    // drain the remainder and publish the boundary.
     let panic_seqs = vec![310, 345, 402];
     let run = |workers: usize| {
         let cfg = ServeConfig::builder()
             .workers(workers)
             .epoch_interval(300)
-            .deterministic(true)
             .max_worker_panics(0)
             .panic_on(panic_seqs.clone())
             .build()
@@ -365,7 +366,6 @@ fn panic_budget_keeps_workers_alive() {
     let cfg = ServeConfig::builder()
         .workers(2)
         .epoch_interval(200)
-        .deterministic(true)
         .max_worker_panics(8) // generous budget: nobody retires
         .panic_on(vec![10, 20, 30])
         .build()
@@ -379,30 +379,45 @@ fn panic_budget_keeps_workers_alive() {
     );
 }
 
-// --------------------------------------------------- free-running sanity
+/// An estimator that panics whenever it is asked to price a shape, so the
+/// first tuning round brings the coordinator down.
+struct PanickingEstimator;
 
-#[test]
-fn free_running_mode_accounts_every_statement() {
-    let queries = banking_queries(900, 47);
-    let cfg = ServeConfig::builder()
-        .workers(3)
-        .epoch_interval(300)
-        .deterministic(false)
-        .build()
-        .unwrap();
-    let out = serve(banking_db(), advisor(), &queries, cfg).unwrap();
-    assert_eq!(out.report.executed + out.report.parse_failures, 900);
-    let accounted: u64 = out.report.epochs.iter().map(|e| e.statements).sum();
-    assert_eq!(accounted, 900);
-    prop_assert_sanity(&out.report.transcript());
+impl autoindex_estimator::CostEstimator for PanickingEstimator {
+    fn shape_cost(
+        &self,
+        _: &SimDb,
+        _: &autoindex_storage::QueryShape,
+        _: &[autoindex_storage::IndexDef],
+    ) -> f64 {
+        panic!("estimator failure")
+    }
 }
 
-/// The transcript renderer must stay parseable-ish: header plus one line
-/// per epoch plus the final fingerprint.
-fn prop_assert_sanity(t: &str) {
-    let lines: Vec<&str> = t.lines().collect();
-    assert!(lines[0].starts_with("serve: executed="));
-    assert!(lines.last().unwrap().starts_with("final: indexes="));
+/// Regression: a panic on the coordinator's side (here inside a tuning
+/// round) must end the run with an `Err` after the workers stop — not
+/// hang with workers parked forever.
+#[test]
+fn coordinator_panic_returns_err_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let queries = banking_queries(1_200, 11);
+        let cfg = ServeConfig::builder()
+            .workers(2)
+            .epoch_interval(300)
+            .build()
+            .unwrap();
+        let advisor = AutoIndex::new(AutoIndexConfig::default(), PanickingEstimator);
+        let out = serve(banking_db(), advisor, &queries, cfg);
+        let _ = tx.send(out.err().map(|e| e.to_string()));
+    });
+    let err = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("serve hung (or panicked) after a coordinator panic");
+    run.join().expect("the serve thread finished after sending");
+    let err = err.expect("a tuning round panicked, so serve must return Err");
+    assert!(err.contains("serve.tuner"), "{err}");
+    assert!(err.contains("estimator failure"), "{err}");
 }
 
 // ------------------------------------- 4. fast-path semantic neutrality
@@ -459,4 +474,90 @@ fn fastpath_on_and_off_are_byte_identical() {
     assert_eq!(on4.report.fastpath_hits, on.report.fastpath_hits);
     assert_eq!(on4.report.fastpath_misses, on.report.fastpath_misses);
     assert_eq!(on4.report.transcript(), on.report.transcript());
+}
+
+// ------------------------------------------------ 5. pinned digests
+
+/// FNV-1a over a transcript: one `u64` that pins every decision byte.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The throughput bench's banking stream: 4 000 hybrid statements from
+/// generator seed 17, served with shard seed 61 and a 1 000-statement
+/// epoch over the first 40 DBA indexes.
+fn throughput_stream() -> Vec<String> {
+    let mut generator = BankingGenerator::new(17);
+    generator
+        .generate_hybrid(4_000, 0.6)
+        .into_iter()
+        .map(|(_, q)| q)
+        .collect()
+}
+
+fn pinned_run(queries: &[String], cfg: autoindex_core::ServeConfigBuilder) -> (u64, u64) {
+    let cfg = cfg.epoch_interval(1_000).seed(61).build().unwrap();
+    let r = serve(banking_db(), advisor(), queries, cfg).unwrap().report;
+    (
+        fnv1a(r.transcript().as_bytes()),
+        r.sim_makespan_ms.to_bits(),
+    )
+}
+
+/// Cross-commit regression pin: the transcript digest and the simulated
+/// makespan bits of the throughput bench's stream, at every swept worker
+/// count and under the guard, with the fast path off and with injected
+/// panics. The other tests compare worker counts within one build; these
+/// constants catch a runtime change that moves decisions at *every*
+/// worker count alike.
+#[test]
+fn serve_transcripts_match_pinned_digests() {
+    use autoindex_core::GuardConfig;
+    let queries = throughput_stream();
+    let base = || ServeConfig::builder();
+    let pinned: [(&str, autoindex_core::ServeConfigBuilder, (u64, u64)); 7] = [
+        (
+            "workers=1",
+            base().workers(1),
+            (0xc529_8480_266b_8238, 0x4115_5182_f50e_aa00),
+        ),
+        (
+            "workers=2",
+            base().workers(2),
+            (0xc529_8480_266b_8238, 0x4105_7741_c84e_10d3),
+        ),
+        (
+            "workers=4",
+            base().workers(4),
+            (0xc529_8480_266b_8238, 0x40f5_d681_0121_d670),
+        ),
+        (
+            "workers=8",
+            base().workers(8),
+            (0xc529_8480_266b_8238, 0x40e6_c177_f746_9349),
+        ),
+        (
+            "guarded, workers=2",
+            base().workers(2).guard(GuardConfig::default()),
+            (0xc529_8480_266b_8238, 0x4105_7741_c84e_10d3),
+        ),
+        (
+            "fastpath off, workers=4",
+            base().workers(4).fastpath(false),
+            (0xc529_8480_266b_8238, 0x40f5_d681_0121_d670),
+        ),
+        (
+            "panics, workers=4",
+            base()
+                .workers(4)
+                .max_worker_panics(1)
+                .panic_on(vec![17, 1_433, 1_434, 2_801, 3_102]),
+            (0x00fd_811a_e5bd_75de, 0x40f5_d67f_aa2b_881e),
+        ),
+    ];
+    for (name, cfg, want) in pinned {
+        assert_eq!(pinned_run(&queries, cfg), want, "{name}");
+    }
 }
