@@ -175,7 +175,100 @@ fn smoke() {
     smoke_fleet();
     smoke_wal_recovery();
     smoke_drift();
+    smoke_online_fastpath();
     println!("smoke OK: snapshot parseable, all core counters non-zero");
+}
+
+/// Online fast-path stage (`scripts/verify.sh` greps the
+/// `online.fastpath` row): the seasonal-shift drift stream, whose INSERTs
+/// grow the catalog under the compiled templates, fed through
+/// `OnlineAutoIndex::feed` must hit compiled templates, and its per-statement
+/// transcript (latency bits, indexes used, errors) and final template store
+/// must equal a reference loop of public parse → execute → observe calls.
+/// Diagnosis is kept out of both loops (the interval exceeds the stream),
+/// so the reference needs no tuner of its own; the pinned transcripts in
+/// `crates/core/tests/online.rs` cover tuning. See `docs/PERFORMANCE.md`
+/// §"The online fast path".
+fn smoke_online_fastpath() {
+    use autoindex_core::{AutoIndex, AutoIndexConfig, OnlineAutoIndex, OnlineConfig};
+    use autoindex_estimator::NativeCostEstimator;
+    use autoindex_storage::{ExecOutcome, SimDb, SimDbConfig};
+    use autoindex_workloads::drift::seasonal_shift;
+
+    println!("\n--- online fast-path smoke ---");
+    let scenario = seasonal_shift(2024, 3_000);
+    let db = || {
+        let mut db = SimDb::with_metrics(
+            scenario.catalog.clone(),
+            SimDbConfig::default(),
+            MetricsRegistry::new(),
+        );
+        for d in &scenario.start_indexes {
+            let _ = db.create_index(d.clone());
+        }
+        db
+    };
+    let advisor = || AutoIndex::new(AutoIndexConfig::default(), NativeCostEstimator);
+    let line = |o: Option<&ExecOutcome>, err: Option<String>| match o {
+        Some(o) => format!(
+            "{:016x} {:?} {err:?}\n",
+            o.latency_ms.to_bits(),
+            o.indexes_used
+        ),
+        None => format!("none {err:?}\n"),
+    };
+
+    let cfg = OnlineConfig {
+        diagnosis_interval: u64::MAX,
+        guard: None,
+        ..OnlineConfig::default()
+    };
+    let mut online = OnlineAutoIndex::new(db(), advisor(), cfg);
+    let mut fed = String::new();
+    for q in &scenario.queries {
+        let f = online.feed(q);
+        fed.push_str(&line(f.outcome.as_ref(), f.error.map(|e| e.to_string())));
+    }
+
+    let (mut ref_db, mut ref_advisor) = (db(), advisor());
+    let mut reference = String::new();
+    for q in &scenario.queries {
+        let l = match autoindex_sql::parse_statement(q) {
+            Ok(stmt) => {
+                let o = ref_db.execute(&stmt);
+                let err = ref_advisor.observe(q, &ref_db).err();
+                line(
+                    Some(&o),
+                    err.map(|e| autoindex_core::AutoIndexError::from(e).to_string()),
+                )
+            }
+            Err(e) => line(
+                None,
+                Some(autoindex_core::AutoIndexError::from(e).to_string()),
+            ),
+        };
+        reference.push_str(&l);
+    }
+
+    let m = online.db().metrics();
+    let hits = m.counter_value("sql.fastpath.hits");
+    let misses = m.counter_value("sql.fastpath.misses");
+    let grew = online.db().catalog().version() > scenario.catalog.version();
+    let same = fed == reference
+        && online.advisor().templates().to_json() == ref_advisor.templates().to_json();
+    let ok = hits > 0 && grew && same;
+    println!(
+        "  online.fastpath (seasonal_shift) hits={hits} misses={misses} transcript {}  {}",
+        if same { "equal" } else { "differs" },
+        if ok { "ok" } else { "FAIL" }
+    );
+    if !ok {
+        eprintln!(
+            "smoke FAILED: online fast path hits={hits}, catalog grew={grew}, \
+             transcript equal to the parse-path reference={same}"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Drift-recovery stage (`scripts/verify.sh` greps the

@@ -568,7 +568,7 @@ fn features(
         .and_then(|c| stats.slot(&def.table, c))
         .map(|slot| {
             let rows = stats.table_rows(slot).max(1) as f64;
-            (stats.ndv[slot as usize] / rows).clamp(0.0, 1.0)
+            (stats.column(slot).stats.ndv / rows).clamp(0.0, 1.0)
         })
         .unwrap_or(0.0);
     let size_norm = ((1.0 + size as f64).ln() / 32.0).clamp(0.0, 1.0);

@@ -40,14 +40,12 @@
 //!   round, a boundary) is caught; the workers are released and joined
 //!   and [`run`] returns the panic, so a run never hangs.
 
-use crate::fastpath::FastPathCache;
+use crate::fastpath::{BindScratch, Bound, FastPathCache};
 use crate::system::AutoIndex;
 use autoindex_estimator::CostEstimator;
-use autoindex_sql::fingerprint::LiteralBuf;
 use autoindex_sql::parse_statement;
 use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{DbSnapshot, ExecOutcome, SimDb, UsageDelta};
-use autoindex_support::hash::U64HashMap;
 use autoindex_support::obs::{Counter, MetricsRegistry, ShardCell, ShardedCounter};
 use autoindex_support::rng::derive_seed;
 use autoindex_support::steal::StealPool;
@@ -172,21 +170,18 @@ pub(crate) struct Task {
 
 // -------------------------------------------------------------- scratch
 
-/// Per-worker reusable fast-path state: the literal scratch buffer, one
-/// bindable skeleton clone per compiled template, and the selectivity-
-/// program evaluation scratch. Cloned skeletons are only valid against
-/// the cache they were cloned from, so the whole map is dropped whenever
-/// the pinned publication changes (a new epoch or another tenant). At
-/// steady state — same publication, repeat templates — executing a
-/// statement through [`execute_statement`] performs **zero heap
-/// allocations** (integer/float literals; string literals clone into
+/// Per-worker reusable fast-path state: the bind scratch (literal buffer,
+/// one bindable skeleton clone per compiled template, selectivity
+/// buffers) and the worker's counter cells. Cloned skeletons are only
+/// valid against the cache they were cloned from, so they are dropped
+/// whenever the pinned publication changes (a new epoch or another
+/// tenant). At steady state — same publication, repeat templates —
+/// executing a statement through [`execute_statement`] performs **zero
+/// heap allocations** (integer/float literals; string literals clone into
 /// reused `Value`s).
 pub(crate) struct WorkerScratch {
-    lits: LiteralBuf,
-    shapes: U64HashMap<QueryShape>,
-    sels: Vec<f64>,
-    stack: Vec<f64>,
-    /// `(tenant, epoch)` of the publication `shapes` was built against.
+    bind: BindScratch,
+    /// `(tenant, epoch)` of the publication the skeletons were cloned from.
     pinned: (u64, u64),
     hits: ShardCell,
     misses: ShardCell,
@@ -196,10 +191,7 @@ pub(crate) struct WorkerScratch {
 impl WorkerScratch {
     fn new(metrics: &ExecMetrics, slot: usize) -> Self {
         WorkerScratch {
-            lits: LiteralBuf::default(),
-            shapes: U64HashMap::default(),
-            sels: Vec::new(),
-            stack: Vec::new(),
+            bind: BindScratch::default(),
             pinned: (u64::MAX, u64::MAX),
             hits: metrics.fastpath_hits.cell(slot),
             misses: metrics.fastpath_misses.cell(slot),
@@ -213,7 +205,7 @@ impl WorkerScratch {
     /// tenant id is part of the key).
     fn pin(&mut self, key: (u64, u64)) {
         if self.pinned != key {
-            self.shapes.clear();
+            self.bind.clear();
             self.pinned = key;
         }
     }
@@ -239,34 +231,22 @@ fn execute_statement(
     let snap = &publication.snap;
 
     if fastpath {
-        if let Some(hash) = autoindex_sql::fingerprint::scan_fingerprint(sql, &mut scratch.lits) {
-            if let Some(compiled) = publication.cache.get(hash) {
-                let shape = scratch
-                    .shapes
-                    .entry(hash)
-                    .or_insert_with(|| compiled.skeleton().clone());
-                if compiled.bind_into(
-                    &scratch.lits,
-                    publication.cache.stats(),
-                    shape,
-                    &mut scratch.sels,
-                    &mut scratch.stack,
-                ) {
-                    scratch.hits.incr();
-                    let (outcome, delta) = snap.execute_shape_at(shape, seq);
-                    return ObservationPayload::Executed {
-                        outcome,
-                        delta,
-                        fp: Some(hash),
-                    };
-                }
-                // A bind guard tripped: the shape (or parseability) of
-                // this statement depends on its concrete values. Take the
-                // slow path; the stale partial bind stays reusable.
-                scratch.fallbacks.incr();
+        match scratch.bind.bind(&publication.cache, sql) {
+            Bound::Hit { hash, shape } => {
+                scratch.hits.incr();
+                let (outcome, delta) = snap.execute_shape_at(shape, seq);
+                return ObservationPayload::Executed {
+                    outcome,
+                    delta,
+                    fp: Some(hash),
+                };
             }
+            Bound::Fallback => {
+                scratch.fallbacks.incr();
+                scratch.misses.incr();
+            }
+            Bound::Miss(_) => scratch.misses.incr(),
         }
-        scratch.misses.incr();
     }
 
     let stmt = match parse_statement(sql) {

@@ -10,7 +10,10 @@
 //! zero-copy), one hash
 //! lookup, a handful of slot writes into a reusable shape clone, and one
 //! flat selectivity-program evaluation ([`TemplateSelProgram`]) — no
-//! parser, no AST, no fresh extraction.
+//! parser, no AST, no fresh extraction. Serve and the fleet publish one
+//! frozen cache per epoch; `OnlineAutoIndex::feed` owns a live one that
+//! compiles templates as the store admits them and follows the catalog's
+//! INSERT growth without recompiling.
 //!
 //! # The sentinel trick
 //!
@@ -43,15 +46,17 @@
 //!   `false`, and the caller falls back to the full parse (reproducing
 //!   parse errors exactly where the slow path would report them).
 
-use crate::templates::TemplateEntry;
+use crate::templates::{TemplateEntry, TemplateStore};
 use autoindex_estimator::{ColumnarStats, TemplateSelProgram};
 use autoindex_sql::ast::{Predicate, SelectStatement, Statement, TableRef, Value};
-use autoindex_sql::fingerprint::LiteralBuf;
+use autoindex_sql::fingerprint::{scan_fingerprint, LiteralBuf};
 use autoindex_sql::parse_statement;
 use autoindex_sql::predicate::AtomicPredicate;
 use autoindex_storage::catalog::Catalog;
-use autoindex_storage::shape::QueryShape;
-use autoindex_support::hash::U64HashMap;
+use autoindex_storage::shape::{QueryShape, WriteKind};
+use autoindex_storage::{ExecOutcome, SimDb};
+use autoindex_support::hash::{U64HashMap, U64HashSet};
+use autoindex_support::obs::{Counter, MetricsRegistry};
 
 /// Base of the sentinel literal range. Far above any statistics value a
 /// catalog produces and high enough that `SENTINEL_BASE + k` stays well
@@ -269,7 +274,7 @@ impl CompiledTemplate {
             None => None,
         };
 
-        let program = TemplateSelProgram::compile(&trace, &skeleton, catalog, stats, &sentinel_of)?;
+        let program = TemplateSelProgram::compile(&trace, &skeleton, stats, &sentinel_of)?;
         Some(CompiledTemplate {
             skeleton,
             writes,
@@ -363,17 +368,28 @@ fn predicate_eligible(p: &Predicate) -> bool {
     }
 }
 
-/// An immutable, epoch-frozen cache of compiled templates, keyed by
-/// fingerprint hash. The serving tuner builds one per epoch boundary from
-/// the template store and publishes it alongside the snapshot; workers
-/// treat it as read-only shared state, so hit/miss behaviour is a pure
-/// function of `(stream, caches)` — invariant under worker count.
+/// A cache of compiled templates, keyed by fingerprint hash, with the
+/// [`ColumnarStats`] their selectivity programs read.
+///
+/// The serving tuner builds one per epoch boundary from the template store
+/// ([`FastPathCache::build`]) and publishes it alongside the snapshot;
+/// workers treat it as read-only shared state, so hit/miss behaviour is a
+/// pure function of `(stream, caches)` — invariant under worker count.
+/// The online loop fills one lazily instead, one template per admission,
+/// and keeps it current with its live catalog (see `docs/PERFORMANCE.md`
+/// §"The online fast path").
+/// Programs hold statistics slots, not statistics, so both uses run the
+/// same compiled code.
 #[derive(Debug, Default)]
 pub struct FastPathCache {
     entries: U64HashMap<CompiledTemplate>,
+    /// Hashes whose templates did not compile, remembered so a lazily
+    /// filled cache does not retry them.
+    ineligible: U64HashSet,
     stats: ColumnarStats,
-    /// Templates seen but ineligible (observability only).
-    ineligible: usize,
+    /// Whether `stats` mirrors a catalog yet (a lazily filled cache builds
+    /// them on its first compile).
+    resolved: bool,
 }
 
 impl FastPathCache {
@@ -383,34 +399,90 @@ impl FastPathCache {
     }
 
     /// Compile every eligible template against `catalog`. Iteration is
-    /// id-ordered so column-slot interning is deterministic.
+    /// id-ordered so compilation order is deterministic.
     pub fn build<'a>(
         templates: impl Iterator<Item = (u64, &'a TemplateEntry)>,
         catalog: &Catalog,
     ) -> Self {
         let mut sorted: Vec<(u64, &TemplateEntry)> = templates.collect();
         sorted.sort_by_key(|(_, e)| e.id);
-        let mut stats = ColumnarStats::build(catalog);
-        let mut entries = U64HashMap::with_capacity_and_hasher(sorted.len(), Default::default());
-        let mut ineligible = 0;
+        let mut cache = FastPathCache {
+            entries: U64HashMap::with_capacity_and_hasher(sorted.len(), Default::default()),
+            ..FastPathCache::default()
+        };
         for (hash, entry) in sorted {
-            match CompiledTemplate::compile(&entry.text, catalog, &mut stats) {
-                Some(c) => {
-                    entries.insert(hash, c);
-                }
-                None => ineligible += 1,
+            cache.compile(hash, &entry.text, catalog);
+        }
+        cache
+    }
+
+    /// Compile template `text` under `hash` against `catalog`, building
+    /// the statistics first if this cache has none that mirror it. An
+    /// ineligible template is remembered ([`FastPathCache::knows`]).
+    /// Returns whether it compiled.
+    pub(crate) fn compile(&mut self, hash: u64, text: &str, catalog: &Catalog) -> bool {
+        if !self.resolved || self.stats.version() != catalog.version() {
+            self.clear();
+            self.stats = ColumnarStats::build(catalog);
+            self.resolved = true;
+        }
+        match CompiledTemplate::compile(text, catalog, &mut self.stats) {
+            Some(c) => {
+                self.entries.insert(hash, c);
+                true
+            }
+            None => {
+                self.ineligible.insert(hash);
+                false
             }
         }
-        FastPathCache {
-            entries,
-            stats,
-            ineligible,
+    }
+
+    /// Bring the statistics in line with `catalog` after the caller's own
+    /// statement ran. `grown` names the table an INSERT grew: if that
+    /// growth is the catalog's only change since the stats were resolved,
+    /// its slots are refreshed in place and every compiled template stays.
+    /// Any other change empties the cache (templates recompile on their
+    /// next admission). Returns `false` when the cache was emptied.
+    pub(crate) fn sync(&mut self, catalog: &Catalog, grown: Option<&str>) -> bool {
+        let version = catalog.version();
+        if !self.resolved || self.stats.version() == version {
+            return true;
         }
+        let refreshed = self.stats.version() + 1 == version
+            && grown
+                .and_then(|t| catalog.table(t))
+                .is_some_and(|t| self.stats.refresh_table(t, version));
+        if !refreshed {
+            self.clear();
+        }
+        refreshed
+    }
+
+    /// Drop every compiled template, remembered ineligible hash and the
+    /// statistics.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.ineligible.clear();
+        self.stats = ColumnarStats::default();
+        self.resolved = false;
+    }
+
+    /// Keep only the templates (compiled or ineligible) whose hash passes
+    /// `keep`.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        self.entries.retain(|h, _| keep(*h));
+        self.ineligible.retain(|h| keep(*h));
     }
 
     /// Look up the compiled template for a fingerprint hash.
     pub fn get(&self, hash: u64) -> Option<&CompiledTemplate> {
         self.entries.get(&hash)
+    }
+
+    /// Whether `hash` was compiled or found ineligible.
+    pub(crate) fn knows(&self, hash: u64) -> bool {
+        self.entries.contains_key(&hash) || self.ineligible.contains(&hash)
     }
 
     /// The columnar statistics compiled programs evaluate against.
@@ -430,8 +502,173 @@ impl FastPathCache {
 
     /// Templates that were observed but did not compile.
     pub fn ineligible(&self) -> usize {
-        self.ineligible
+        self.ineligible.len()
     }
+}
+
+/// Per-thread scratch for binding statements into a cache's compiled
+/// templates: the literal buffer, one bindable skeleton clone per template
+/// and the selectivity-program buffers. Skeleton clones are valid only
+/// against the cache they were cloned from, so the owner clears them
+/// whenever that cache changes. At steady state — same cache, repeat
+/// templates — a bind performs **zero heap allocations**
+/// (integer/float literals; string literals clone into reused `Value`s).
+#[derive(Debug, Default)]
+pub(crate) struct BindScratch {
+    lits: LiteralBuf,
+    shapes: U64HashMap<QueryShape>,
+    sels: Vec<f64>,
+    stack: Vec<f64>,
+}
+
+/// How one statement met a cache ([`BindScratch::bind`]).
+pub(crate) enum Bound<'a> {
+    /// Bound into its template's reusable shape.
+    Hit { hash: u64, shape: &'a QueryShape },
+    /// No compiled template; carries the scanned hash when the scan
+    /// succeeded.
+    Miss(Option<u64>),
+    /// A bind guard tripped: the statement's shape (or parseability)
+    /// depends on its concrete values.
+    Fallback,
+}
+
+impl BindScratch {
+    /// Scan `sql`, look its template up in `cache` and bind its literals
+    /// into the template's reusable shape. The caller takes the parse
+    /// path on anything but a hit; a stale partial bind stays reusable.
+    pub(crate) fn bind(&mut self, cache: &FastPathCache, sql: &str) -> Bound<'_> {
+        let Some(hash) = scan_fingerprint(sql, &mut self.lits) else {
+            return Bound::Miss(None);
+        };
+        let Some(compiled) = cache.get(hash) else {
+            return Bound::Miss(Some(hash));
+        };
+        let shape = self
+            .shapes
+            .entry(hash)
+            .or_insert_with(|| compiled.skeleton().clone());
+        if compiled.bind_into(
+            &self.lits,
+            cache.stats(),
+            shape,
+            &mut self.sels,
+            &mut self.stack,
+        ) {
+            Bound::Hit { hash, shape }
+        } else {
+            Bound::Fallback
+        }
+    }
+
+    /// Drop the skeleton clones (their cache changed).
+    pub(crate) fn clear(&mut self) {
+        self.shapes.clear();
+    }
+}
+
+/// The online loop's fast path: a lazily filled [`FastPathCache`] kept
+/// current with the live catalog, its bind scratch and the
+/// `sql.fastpath.*` counters (same meaning as in serve: a tripped bind
+/// guard counts as a fallback *and* a miss).
+#[derive(Debug)]
+pub(crate) struct LiveFastPath {
+    cache: FastPathCache,
+    scratch: BindScratch,
+    hits: Counter,
+    misses: Counter,
+    fallbacks: Counter,
+}
+
+impl LiveFastPath {
+    /// An empty fast path counting into `metrics`. Compiles nothing.
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
+        LiveFastPath {
+            cache: FastPathCache::empty(),
+            scratch: BindScratch::default(),
+            hits: metrics.counter("sql.fastpath.hits"),
+            misses: metrics.counter("sql.fastpath.misses"),
+            fallbacks: metrics.counter("sql.fastpath.fallbacks"),
+        }
+    }
+
+    /// Execute `sql` through its compiled template: scan, bind into the
+    /// template's reusable shape, execute. On a hit returns the
+    /// fingerprint hash with the outcome. On a miss returns the scanned
+    /// hash when the template is not compiled (the caller runs the parse
+    /// path, then offers it to [`LiveFastPath::admit`]); a failed scan or
+    /// a tripped bind guard returns `None`.
+    pub(crate) fn execute(
+        &mut self,
+        sql: &str,
+        db: &mut SimDb,
+    ) -> Result<(u64, ExecOutcome), Option<u64>> {
+        self.sync(db.catalog(), None);
+        match self.scratch.bind(&self.cache, sql) {
+            Bound::Hit { hash, shape } => {
+                self.hits.incr();
+                let outcome = db.execute_shape(shape);
+                if !self.cache.sync(db.catalog(), insert_target(shape)) {
+                    self.scratch.clear();
+                }
+                Ok((hash, outcome))
+            }
+            Bound::Miss(hash) => {
+                self.misses.incr();
+                Err(hash)
+            }
+            Bound::Fallback => {
+                self.fallbacks.incr();
+                self.misses.incr();
+                Err(None)
+            }
+        }
+    }
+
+    /// Keep the statistics current after the parse path executed `shape`.
+    pub(crate) fn executed(&mut self, catalog: &Catalog, shape: &QueryShape) {
+        self.sync(catalog, insert_target(shape));
+    }
+
+    /// Compile the template behind a missed `hash` once the store holds
+    /// it, and bound the cache by the store: templates the store has
+    /// evicted or decayed away are dropped when the cache outgrows it.
+    pub(crate) fn admit(&mut self, hash: u64, store: &TemplateStore, catalog: &Catalog) {
+        if self.cache.knows(hash) {
+            return;
+        }
+        let Some(entry) = store.get(hash) else {
+            return;
+        };
+        self.sync(catalog, None);
+        self.cache.compile(hash, &entry.text, catalog);
+        if self.cache.len() + self.cache.ineligible() > store.len() {
+            self.cache.retain(|h| store.get(h).is_some());
+            self.scratch.clear();
+        }
+    }
+
+    /// Drop everything compiled (the catalog may be edited behind the
+    /// loop's back).
+    pub(crate) fn clear(&mut self) {
+        self.cache.clear();
+        self.scratch.clear();
+    }
+
+    fn sync(&mut self, catalog: &Catalog, grown: Option<&str>) {
+        if !self.cache.sync(catalog, grown) {
+            self.scratch.clear();
+        }
+    }
+}
+
+/// The table an INSERT shape grows.
+fn insert_target(shape: &QueryShape) -> Option<&str> {
+    shape
+        .write
+        .as_ref()
+        .filter(|w| w.kind == WriteKind::Insert)
+        .map(|w| w.table.as_str())
 }
 
 #[cfg(test)]
@@ -643,6 +880,97 @@ mod tests {
             assert!(compiled.bind_into(&lits, &stats, &mut shape, &mut sels, &mut stack));
             let expected = QueryShape::extract(&parse_statement(&sql).unwrap(), &cat);
             assert_eq!(shape, expected, "rebind {i}");
+        }
+    }
+
+    /// Bind through `cache` and compare with parse + extract against
+    /// `cat`, bit for bit.
+    fn assert_cache_bind_matches(cache: &FastPathCache, sql: &str, cat: &Catalog) {
+        let mut lits = LiteralBuf::default();
+        let hash = scan_fingerprint(sql, &mut lits).unwrap();
+        let compiled = cache.get(hash).expect("compiled");
+        let mut shape = compiled.skeleton().clone();
+        let (mut sels, mut stack) = (Vec::new(), Vec::new());
+        assert!(compiled.bind_into(&lits, cache.stats(), &mut shape, &mut sels, &mut stack));
+        let expected = QueryShape::extract(&parse_statement(sql).unwrap(), cat);
+        assert_eq!(shape, expected, "{sql}");
+        for (b, e) in shape.tables.iter().zip(&expected.tables) {
+            assert_eq!(b.filter_sel.to_bits(), e.filter_sel.to_bits(), "{sql}");
+        }
+    }
+
+    #[test]
+    fn growth_refresh_keeps_compiled_templates_exact_and_edits_drop_them() {
+        let mut cat = catalog();
+        let mut cache = FastPathCache::empty();
+        let templates = [
+            "SELECT * FROM accounts WHERE id = 1",
+            "SELECT balance FROM accounts WHERE id > 1 AND branch = 2",
+            "SELECT * FROM accounts WHERE id BETWEEN 1 AND 2 LIMIT 3",
+        ];
+        for t in templates {
+            let fp = fingerprint(t).unwrap();
+            assert!(cache.compile(fp.hash, &fp.text, &cat), "{t}");
+        }
+        let concrete = [
+            "SELECT * FROM accounts WHERE id = 77",
+            "SELECT balance FROM accounts WHERE id > 450000 AND branch = 9",
+            "SELECT * FROM accounts WHERE id BETWEEN 499000 AND 640000 LIMIT 5",
+        ];
+        for _ in 0..4 {
+            // INSERT growth scales rows, the unique `id`'s NDV and its
+            // numeric max; the refresh tracks all three in place.
+            cat.grow_table("accounts", 125_000).unwrap();
+            assert!(cache.sync(&cat, Some("accounts")));
+            assert_eq!(cache.len(), templates.len(), "growth recompiles nothing");
+            assert_eq!(cache.stats().version(), cat.version());
+            for sql in concrete {
+                assert_cache_bind_matches(&cache, sql, &cat);
+            }
+        }
+        // Growth the caller does not vouch for, two changes at once, a
+        // statistics edit, a schema edit: each drops the cache.
+        type Edit = fn(&mut Catalog) -> Option<&'static str>;
+        let edits: [Edit; 4] = [
+            |c| {
+                c.grow_table("tellers", 10).unwrap();
+                None
+            },
+            |c| {
+                c.grow_table("accounts", 10).unwrap();
+                c.grow_table("accounts", 10).unwrap();
+                Some("accounts")
+            },
+            |c| {
+                c.table_mut("accounts").unwrap().columns[1].stats.ndv = 7.0;
+                None
+            },
+            |c| {
+                c.add_table(
+                    TableBuilder::new("branches", 512)
+                        .column(Column::int("id", 512))
+                        .build()
+                        .unwrap(),
+                );
+                None
+            },
+        ];
+        for edit in edits {
+            for t in templates {
+                let fp = fingerprint(t).unwrap();
+                cache.compile(fp.hash, &fp.text, &cat);
+            }
+            let grown = edit(&mut cat);
+            assert!(!cache.sync(&cat, grown));
+            assert!(cache.is_empty() && !cache.knows(fingerprint(templates[0]).unwrap().hash));
+        }
+        // Recompiled against the edited catalog, binds are exact again.
+        for t in templates {
+            let fp = fingerprint(t).unwrap();
+            assert!(cache.compile(fp.hash, &fp.text, &cat));
+        }
+        for sql in concrete {
+            assert_cache_bind_matches(&cache, sql, &cat);
         }
     }
 

@@ -33,7 +33,8 @@
 //!   together: observe queries → diagnose → generate candidates → search →
 //!   apply DDL, incrementally, round after round.
 //! * [`online`] — the §III control loop: wraps a database and an advisor
-//!   so that executing the query stream automatically diagnoses and tunes.
+//!   so that executing the query stream automatically diagnoses and tunes;
+//!   repeat statements run on compiled templates ([`fastpath`]).
 //! * [`guard`] — the guarded-apply pipeline (`docs/ROBUSTNESS.md`): shadow
 //!   admission of recommendations, pre-apply snapshots, fault-safe DDL
 //!   with retries, probation over measured latency, automatic rollback,

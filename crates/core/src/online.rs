@@ -25,10 +25,12 @@
 use crate::bandit::ArmChoice;
 use crate::diagnosis::DiagnosisReport;
 use crate::error::{invalid, AutoIndexError};
+use crate::fastpath::LiveFastPath;
 use crate::guard::{ApplyVerdict, Guard, GuardConfig, GuardEvent, GuardPhase};
 use crate::strategy::StrategyKind;
 use crate::system::{AutoIndex, TuningReport};
 use autoindex_estimator::CostEstimator;
+use autoindex_storage::shape::QueryShape;
 use autoindex_storage::{ExecOutcome, SimDb};
 use std::time::Instant;
 
@@ -214,6 +216,7 @@ pub struct OnlineAutoIndex<E: CostEstimator> {
     advisor: AutoIndex<E>,
     config: OnlineConfig,
     guard: Option<Guard>,
+    fastpath: LiveFastPath,
     executed: u64,
     last_tuning_at: Option<u64>,
     /// Number of tuning rounds triggered so far.
@@ -230,11 +233,13 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     pub fn new(db: SimDb, advisor: AutoIndex<E>, mut config: OnlineConfig) -> Self {
         config.diagnosis_interval = config.diagnosis_interval.max(1);
         let guard = config.guard.clone().map(|g| Guard::new(g, db.metrics()));
+        let fastpath = LiveFastPath::new(db.metrics());
         OnlineAutoIndex {
             db,
             advisor,
             config,
             guard,
+            fastpath,
             executed: 0,
             last_tuning_at: None,
             tuning_rounds: 0,
@@ -247,8 +252,10 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     }
 
     /// Mutable access to the wrapped database (fault-plan installation,
-    /// catalog adjustments).
+    /// catalog adjustments). Drops the compiled templates: the caller may
+    /// edit or replace the catalog they were compiled against.
     pub fn db_mut(&mut self) -> &mut SimDb {
+        self.fastpath.clear();
         &mut self.db
     }
 
@@ -291,25 +298,44 @@ impl<E: CostEstimator> OnlineAutoIndex<E> {
     /// simulator needs an AST — so they surface as `outcome: None` with
     /// the parse error attached (a real deployment would pass them
     /// straight to the server).
+    ///
+    /// A repeat of a compiled template skips the parser: its literals are
+    /// scanned and bound into the template's reusable shape, which
+    /// executes directly, and the template store is credited by hash. A
+    /// miss or a tripped bind guard takes the parse path, which reproduces
+    /// parse errors exactly; a missed template compiles right after the
+    /// store admits it. Either path yields the same outcome, bit for bit.
     pub fn feed(&mut self, sql: &str) -> FeedOutcome {
-        let stmt = match autoindex_sql::parse_statement(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                return FeedOutcome {
-                    outcome: None,
-                    event: OnlineEvent::Executed,
-                    error: Some(e.into()),
+        let (outcome, observed) = match self.fastpath.execute(sql, &mut self.db) {
+            Ok((hash, outcome)) => {
+                let observed = self.advisor.observe_prehashed(hash, sql, &self.db);
+                (outcome, observed)
+            }
+            Err(missed) => {
+                let stmt = match autoindex_sql::parse_statement(sql) {
+                    Ok(s) => s,
+                    Err(e) => {
+                        return FeedOutcome {
+                            outcome: None,
+                            event: OnlineEvent::Executed,
+                            error: Some(e.into()),
+                        }
+                    }
+                };
+                let shape = QueryShape::extract(&stmt, self.db.catalog());
+                let outcome = self.db.execute_shape(&shape);
+                self.fastpath.executed(self.db.catalog(), &shape);
+                let observed = self.advisor.observe(sql, &self.db);
+                if let Some(hash) = missed {
+                    self.fastpath
+                        .admit(hash, self.advisor.templates(), self.db.catalog());
                 }
+                (outcome, observed)
             }
         };
-        let outcome = self.db.execute(&stmt);
         // The statement executed; a template-matching failure must not
         // discard the measurement (the old `(None, event)` ambiguity).
-        let error = self
-            .advisor
-            .observe(sql, &self.db)
-            .err()
-            .map(AutoIndexError::from);
+        let error = observed.err().map(AutoIndexError::from);
         self.executed += 1;
 
         // Guard lifecycle first: probation verdicts and cooldown expiry

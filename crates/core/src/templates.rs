@@ -16,7 +16,7 @@
 //!   expensive analysis happens once per *template*, not once per query.
 //!   That is the entire source of the >98.5% overhead reduction in Fig. 8.
 
-use autoindex_sql::{fingerprint, parse_statement, SqlError, Statement, TemplateId};
+use autoindex_sql::{fingerprint, parse_statement, Fingerprint, SqlError, Statement, TemplateId};
 use autoindex_storage::catalog::Catalog;
 use autoindex_storage::shape::QueryShape;
 use autoindex_support::json::{obj, Json, JsonError};
@@ -113,37 +113,11 @@ impl TemplateStore {
         self.clock += 1;
         self.window_queries += 1;
         let fp = fingerprint(sql)?;
-        if let Some(e) = self.by_hash.get_mut(&fp.hash) {
-            e.frequency += 1.0;
-            e.last_seen = self.clock;
-            self.maybe_handle_shift();
-            return Ok(fp.hash);
-        }
-        // New template: parse once, analyse once.
-        self.window_new_templates += 1;
-        let statement = parse_statement(sql)?;
-        let shape = QueryShape::extract(&statement, catalog);
-        if self.by_hash.len() >= self.config.max_templates {
-            self.evict_one();
-        }
-        let id = self.alloc_id();
-        self.by_hash.insert(
-            fp.hash,
-            TemplateEntry {
-                id,
-                text: fp.text,
-                statement,
-                shape,
-                frequency: 1.0,
-                last_seen: self.clock,
-            },
-        );
-        self.maybe_handle_shift();
-        Ok(fp.hash)
+        self.observe_fingerprinted(fp, sql, catalog)
     }
 
     /// Observe a query whose fingerprint hash is already known (computed by
-    /// the serving loop's zero-allocation scanner). The repeated-template
+    /// the fast path's zero-allocation scanner). The repeated-template
     /// hot path skips the lexer pass entirely — one hash lookup. The
     /// bookkeeping is step-for-step identical to [`TemplateStore::observe`],
     /// which is what keeps fast-path-on and fast-path-off tuner decisions
@@ -162,9 +136,34 @@ impl TemplateStore {
             self.maybe_handle_shift();
             return Ok(hash);
         }
-        // Miss (e.g. the template was evicted since the cache was built):
-        // run the same slow path `observe` would, in the same order.
+        // Miss (e.g. the template was evicted since it was compiled): run
+        // the same path `observe` would, keyed on the fingerprinter's
+        // hash. Should the scanner ever disagree with it, the statement
+        // still credits the template it really belongs to instead of
+        // re-admitting it as new.
         let fp = fingerprint(sql)?;
+        debug_assert_eq!(
+            fp.hash, hash,
+            "scanner and fingerprinter disagree on {sql:?}"
+        );
+        self.observe_fingerprinted(fp, sql, catalog)
+    }
+
+    /// The part of an observation after fingerprinting: credit a known
+    /// template, or parse, analyse and admit a new one.
+    fn observe_fingerprinted(
+        &mut self,
+        fp: Fingerprint,
+        sql: &str,
+        catalog: &Catalog,
+    ) -> Result<u64, SqlError> {
+        if let Some(e) = self.by_hash.get_mut(&fp.hash) {
+            e.frequency += 1.0;
+            e.last_seen = self.clock;
+            self.maybe_handle_shift();
+            return Ok(fp.hash);
+        }
+        // New template: parse once, analyse once.
         self.window_new_templates += 1;
         let statement = parse_statement(sql)?;
         let shape = QueryShape::extract(&statement, catalog);
@@ -672,13 +671,39 @@ mod tests {
             assert_eq!(ea.frequency.to_bits(), eb.frequency.to_bits());
             assert_eq!(ea.last_seen, eb.last_seen);
         }
-        // A miss on the prehashed path (unknown hash) falls back to the
-        // full path and still lands on the canonical fingerprint key.
-        let h = b
-            .observe_prehashed(0xdead_beef, "SELECT a FROM t WHERE b = 1", &c)
-            .unwrap();
+        // A miss on the prehashed path (a template the store does not
+        // hold, e.g. one evicted since it was compiled) falls back to the
+        // full path and lands on the canonical fingerprint key.
+        let q = "SELECT a FROM t WHERE b = 1";
+        let hash = autoindex_sql::fingerprint(q).unwrap().hash;
+        assert!(b.get(hash).is_none());
+        let h = b.observe_prehashed(hash, q, &c).unwrap();
+        assert_eq!(h, hash);
         assert!(b.get(h).is_some());
-        assert_ne!(h, 0xdead_beef);
+    }
+
+    /// Regression: the prehashed miss path inserted under the
+    /// fingerprinter's hash without looking it up first, so a scanner hash
+    /// that disagreed with it reset a live template to frequency 1 and
+    /// counted it as new on every statement (spurious shift decays).
+    /// Debug builds now assert that the two hashes agree; release builds
+    /// credit the template the statement belongs to.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "scanner and fingerprinter disagree")
+    )]
+    fn observe_prehashed_with_a_disagreeing_hash_credits_the_known_template() {
+        let c = catalog();
+        let mut s = small_store(10);
+        let q = "SELECT * FROM t WHERE a = 1";
+        let h = s.observe(q, &c).unwrap();
+        for _ in 0..3 {
+            assert_eq!(s.observe_prehashed(0xdead_beef, q, &c).unwrap(), h);
+        }
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get(h).unwrap().frequency, 4.0);
+        assert_eq!(s.window_new_templates, 1);
     }
 
     #[test]

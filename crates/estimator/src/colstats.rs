@@ -3,50 +3,55 @@
 //! The interpreted estimator path resolves every predicate's column *by
 //! name* against the catalog on every evaluation. For the template fast
 //! path that is wasted work: a template's predicate structure is fixed, so
-//! column resolution, statistics lookup, and every value-independent
-//! selectivity factor can be done **once at compile time**, leaving only
-//! the literal-dependent leaves to evaluate per statement — batched over a
-//! flat program instead of a per-predicate tree walk.
+//! column resolution can be done **once at compile time**, leaving a flat
+//! program to evaluate per statement instead of a per-predicate tree walk.
 //!
 //! Two pieces:
 //!
 //! * [`ColumnarStats`] — a flat, slot-addressed table of resolved
-//!   per-column statistics for one catalog version, keyed by interned
-//!   ([`TableId`], [`ColumnId`]) pairs. Parallel `ndv` / `min` / `max` /
-//!   `null_frac` arrays expose the stats in columnar (struct-of-arrays)
-//!   form for batched scans.
+//!   per-column statistics and per-table row counts, keyed by interned
+//!   ([`TableId`], [`ColumnId`]) pairs. [`ColumnarStats::refresh_table`]
+//!   re-reads one grown table's slots in place, so INSERT growth costs
+//!   O(columns of that table) and recompiles nothing.
 //! * [`TemplateSelProgram`] — a [`SelTrace`] (from
 //!   `QueryShape::extract_traced`) compiled into flat postfix programs, one
-//!   per `(predicate, table)` factor. Value-independent subtrees are
-//!   const-folded at compile time; literal-dependent leaves carry a
-//!   pre-resolved statistics slot and evaluate via the *same*
-//!   `autoindex_storage::selectivity` primitives as the interpreted path,
-//!   so results are bit-identical.
+//!   per `(predicate, table)` factor. Programs hold statistics *slots*, not
+//!   statistics: every leaf reads its column and its table's row count
+//!   from the [`ColumnarStats`] passed at evaluation time, through the
+//!   *same* `autoindex_storage::selectivity` primitives as the interpreted
+//!   path, so results are bit-identical to `QueryShape::extract` against
+//!   whatever catalog the stats currently mirror. Only subtrees that read
+//!   neither literals nor statistics are const-folded.
 
 use autoindex_sql::intern::{ColumnId, Interner, TableId};
 use autoindex_sql::predicate::AtomicPredicate;
 use autoindex_sql::{CmpOp, Value};
-use autoindex_storage::catalog::{Catalog, Column};
-use autoindex_storage::selectivity::{between_selectivity, clamp_sel, cmp_selectivity};
+use autoindex_storage::catalog::{Catalog, Column, Table};
+use autoindex_storage::selectivity::{
+    between_selectivity, clamp_sel, cmp_selectivity, in_list_selectivity, is_null_selectivity,
+    like_selectivity, DEFAULT_EQ_SEL, DEFAULT_OPAQUE_SEL,
+};
 use autoindex_storage::shape::{SelTrace, SelTree};
 use autoindex_storage::QueryShape;
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// Flat, slot-addressed per-column statistics for one catalog version.
+/// Flat, slot-addressed per-column statistics mirroring one catalog
+/// version.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarStats {
     interner: Interner,
     slots: HashMap<(TableId, ColumnId), u32>,
+    tables: HashMap<TableId, u32>,
     cols: Vec<Column>,
-    /// Owning table's row count, parallel to `cols`.
+    /// Owning table slot, parallel to `cols`.
+    col_table: Vec<u32>,
+    /// Row count per table slot.
     rows: Vec<u64>,
-    /// Columnar (struct-of-arrays) mirrors of the per-column statistics,
-    /// parallel to `cols`, for batched scans.
-    pub ndv: Vec<f64>,
-    pub min: Vec<f64>,
-    pub max: Vec<f64>,
-    pub null_frac: Vec<f64>,
-    /// Catalog version the stats were resolved against.
+    /// Column-slot range per table slot (a table's columns are contiguous,
+    /// in catalog column order).
+    table_cols: Vec<Range<u32>>,
+    /// Catalog version the stats mirror.
     version: u64,
 }
 
@@ -58,27 +63,59 @@ impl ColumnarStats {
             version: catalog.version(),
             ..ColumnarStats::default()
         };
-        let mut tables: Vec<&str> = catalog.tables().map(|t| t.name.as_str()).collect();
-        tables.sort_unstable();
-        for name in tables {
-            let table = catalog.table(name).expect("listed table exists");
+        let mut tables: Vec<&Table> = catalog.tables().collect();
+        tables.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        for table in tables {
             let tid = s.interner.table(&table.name);
+            let tslot = s.rows.len() as u32;
+            s.tables.insert(tid, tslot);
+            s.rows.push(table.rows);
+            let first = s.cols.len() as u32;
             for col in &table.columns {
                 let cid = s.interner.column(&col.name);
-                let slot = s.cols.len() as u32;
-                s.slots.insert((tid, cid), slot);
-                s.rows.push(table.rows);
-                s.ndv.push(col.stats.ndv);
-                s.min.push(col.stats.min);
-                s.max.push(col.stats.max);
-                s.null_frac.push(col.stats.null_frac);
+                s.slots.insert((tid, cid), s.cols.len() as u32);
+                s.col_table.push(tslot);
                 s.cols.push(col.clone());
             }
+            s.table_cols.push(first..s.cols.len() as u32);
         }
         s
     }
 
-    /// Catalog version these stats were built from.
+    /// Re-read one table's row count and column statistics after it grew
+    /// (`Catalog::grow_table`), in place, and stamp the stats with
+    /// `version`. Costs O(columns of `table`). Only the scalar column
+    /// statistics are copied (`ndv`, `min`, `max`, `null_frac`, a superset
+    /// of what growth changes); a histogram or schema edit needs
+    /// [`ColumnarStats::build`]. Returns
+    /// `false`, changing nothing, when the table is unknown or its column
+    /// list no longer matches the slots.
+    pub fn refresh_table(&mut self, table: &Table, version: u64) -> bool {
+        let Some(tslot) = self.table_slot(&table.name) else {
+            return false;
+        };
+        let range = self.table_cols[tslot as usize].clone();
+        let cols = &mut self.cols[range.start as usize..range.end as usize];
+        if cols.len() != table.columns.len()
+            || cols
+                .iter()
+                .zip(&table.columns)
+                .any(|(c, t)| c.name != t.name)
+        {
+            return false;
+        }
+        for (c, t) in cols.iter_mut().zip(&table.columns) {
+            c.stats.ndv = t.stats.ndv;
+            c.stats.min = t.stats.min;
+            c.stats.max = t.stats.max;
+            c.stats.null_frac = t.stats.null_frac;
+        }
+        self.rows[tslot as usize] = table.rows;
+        self.version = version;
+        true
+    }
+
+    /// Catalog version these stats mirror.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -100,6 +137,12 @@ impl ColumnarStats {
         self.slots.get(&(tid, cid)).copied()
     }
 
+    /// Slot of a table, if it exists in the catalog snapshot.
+    pub fn table_slot(&self, table: &str) -> Option<u32> {
+        let tid = TableId(self.interner.get(table)?);
+        self.tables.get(&tid).copied()
+    }
+
     /// Slot of the column an atom restricts on `table` (uses the atom's
     /// interned column id against this stats table's interner).
     pub fn slot_for_atom(&mut self, table: &str, atom: &AtomicPredicate) -> Option<u32> {
@@ -113,9 +156,14 @@ impl ColumnarStats {
         &self.cols[slot as usize]
     }
 
-    /// Row count of the table owning `slot`.
+    /// Row count of the table owning column `slot`.
     pub fn table_rows(&self, slot: u32) -> u64 {
-        self.rows[slot as usize]
+        self.rows[self.col_table[slot as usize] as usize]
+    }
+
+    /// Row count of table slot `table`.
+    pub fn rows(&self, table: u32) -> u64 {
+        self.rows[table as usize]
     }
 }
 
@@ -128,18 +176,37 @@ pub enum LitRef {
     Const(Value),
 }
 
-/// A literal-dependent selectivity leaf with its statistics pre-resolved.
+/// One selectivity leaf (an atom on the factor's table) with its column
+/// slot pre-resolved; `col: None` is a column the statistics do not know,
+/// which takes the primitives' defaults exactly as the interpreted path
+/// does. Every leaf is clamped to `[1/rows, 1]` with the table's row count
+/// at evaluation time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynLeaf {
-    /// Range comparison whose selectivity depends on the literal.
-    Cmp { col: u32, op: CmpOp, value: LitRef },
-    /// BETWEEN whose bounds include at least one literal slot.
+    /// `col OP value`.
+    Cmp {
+        col: Option<u32>,
+        op: CmpOp,
+        value: LitRef,
+    },
+    /// `col [NOT] BETWEEN low AND high`.
     Between {
-        col: u32,
+        col: Option<u32>,
         low: LitRef,
         high: LitRef,
         negated: bool,
     },
+    /// `col [NOT] IN (...)` with a fixed list length.
+    InList {
+        col: Option<u32>,
+        len: usize,
+        negated: bool,
+    },
+    /// `col IS [NOT] NULL`.
+    IsNull { col: Option<u32>, negated: bool },
+    /// A statistics-free atom (`LIKE`, a join edge used as a filter, an
+    /// opaque atom): its unclamped selectivity.
+    Fixed(f64),
 }
 
 /// One postfix instruction of a factor program.
@@ -147,7 +214,7 @@ pub enum DynLeaf {
 enum SelOp {
     /// Push a compile-time-folded selectivity.
     Const(f64),
-    /// Push a literal-dependent leaf's selectivity.
+    /// Push a leaf's selectivity.
     Leaf(DynLeaf),
     /// Pop `n`, push their product floored at `1/rows`.
     AndN(u16),
@@ -162,16 +229,17 @@ enum SelOp {
 struct FactorProgram {
     /// Index of the factor's table in the shape's `tables` vector.
     table_index: u16,
-    /// Row count of that table (clamp floor).
-    rows: u64,
+    /// Statistics slot of that table (its row count is the clamp floor).
+    table: u32,
     /// Postfix ops; a fully folded factor is a single `Const`.
     ops: Vec<SelOp>,
 }
 
 /// A compiled selectivity program for one template: evaluates every
-/// literal-dependent factor of the template's `filter_sel`s in one flat
-/// pass, writing per-table selectivities bit-identical to what
-/// `QueryShape::extract` would compute for the same literals.
+/// factor of the template's `filter_sel`s in one flat pass, writing
+/// per-table selectivities bit-identical to what `QueryShape::extract`
+/// would compute for the same literals against the catalog the
+/// [`ColumnarStats`] mirror.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TemplateSelProgram {
     factors: Vec<FactorProgram>,
@@ -181,26 +249,26 @@ pub struct TemplateSelProgram {
 
 impl TemplateSelProgram {
     /// Compile `trace` (recorded against the template's sentinel-parsed
-    /// statement) into a flat program. `slot_of` maps a sentinel literal
-    /// value back to its literal-buffer slot (`None` = a real constant).
-    /// Returns `None` when a factor's table is missing from the shape or
-    /// catalog — callers fall back to the interpreted path.
+    /// statement) into a flat program over `stats`' slots. `slot_of` maps
+    /// a sentinel literal value back to its literal-buffer slot (`None` =
+    /// a real constant). Returns `None` when a factor's table is missing
+    /// from the shape or the statistics — callers fall back to the
+    /// interpreted path.
     pub fn compile(
         trace: &SelTrace,
         shape: &QueryShape,
-        catalog: &Catalog,
         stats: &mut ColumnarStats,
         slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
     ) -> Option<TemplateSelProgram> {
         let mut factors = Vec::with_capacity(trace.factors.len());
         for (table, tree) in &trace.factors {
             let table_index = shape.tables.iter().position(|t| &t.table == table)?;
-            let def = catalog.table(table)?;
+            let tslot = stats.table_slot(table)?;
             let mut ops = Vec::new();
-            compile_tree(tree, table, def, stats, slot_of, &mut ops)?;
+            compile_tree(tree, table, stats, slot_of, &mut ops);
             factors.push(FactorProgram {
                 table_index: table_index as u16,
-                rows: def.rows,
+                table: tslot,
                 ops,
             });
         }
@@ -210,17 +278,28 @@ impl TemplateSelProgram {
         })
     }
 
-    /// True when every factor const-folded (no literal-dependent leaves):
-    /// the template's `filter_sel`s never change between statements.
+    /// True when no leaf reads a literal: the template's `filter_sel`s are
+    /// the same for every statement (they still follow the statistics).
     pub fn is_constant(&self) -> bool {
-        self.factors
-            .iter()
-            .all(|f| matches!(f.ops.as_slice(), [SelOp::Const(_)]))
+        let reads_literal = |leaf: &DynLeaf| match leaf {
+            DynLeaf::Cmp { op, value, .. } => {
+                !matches!(op, CmpOp::Eq | CmpOp::Ne) && matches!(value, LitRef::Slot { .. })
+            }
+            DynLeaf::Between { low, high, .. } => {
+                matches!(low, LitRef::Slot { .. }) || matches!(high, LitRef::Slot { .. })
+            }
+            DynLeaf::InList { .. } | DynLeaf::IsNull { .. } | DynLeaf::Fixed(_) => false,
+        };
+        self.factors.iter().flat_map(|f| &f.ops).all(|op| match op {
+            SelOp::Leaf(leaf) => !reads_literal(leaf),
+            _ => true,
+        })
     }
 
-    /// Evaluate with `literals` bound, writing one `filter_sel` per shape
-    /// table into `out` (resized and reset by this call). `stack` is caller
-    /// scratch, reused across calls to stay allocation-free at steady state.
+    /// Evaluate with `literals` bound against `stats`, writing one
+    /// `filter_sel` per shape table into `out` (resized and reset by this
+    /// call). `stack` is caller scratch, reused across calls to stay
+    /// allocation-free at steady state.
     pub fn eval_into(
         &self,
         literals: &[Value],
@@ -231,11 +310,12 @@ impl TemplateSelProgram {
         out.clear();
         out.resize(self.n_tables as usize, 1.0);
         for f in &self.factors {
+            let rows = stats.rows(f.table);
             stack.clear();
             for op in &f.ops {
                 match op {
                     SelOp::Const(s) => stack.push(*s),
-                    SelOp::Leaf(leaf) => stack.push(eval_leaf(leaf, literals, stats, f.rows)),
+                    SelOp::Leaf(leaf) => stack.push(eval_leaf(leaf, literals, stats, rows)),
                     SelOp::AndN(n) => {
                         let at = stack.len() - *n as usize;
                         let mut sel = 1.0;
@@ -243,7 +323,7 @@ impl TemplateSelProgram {
                             sel *= *s;
                         }
                         stack.truncate(at);
-                        stack.push(sel.max(1.0 / f.rows.max(1) as f64));
+                        stack.push(sel.max(1.0 / rows.max(1) as f64));
                     }
                     SelOp::OrN(n) => {
                         let at = stack.len() - *n as usize;
@@ -269,69 +349,98 @@ impl TemplateSelProgram {
     }
 }
 
-/// Whether a range estimate on this column actually reads the value
-/// (mirrors the guard inside `cmp_selectivity` / `between_selectivity`).
-fn col_qualifies(col: &Column) -> bool {
-    col.ty.is_numeric() && col.stats.max > col.stats.min
+/// The value of a subtree that reads neither literals nor statistics:
+/// only `One` leaves under `Or`/`Not` (an `And` reads the row count for
+/// its floor, an atom reads its column). The arithmetic is
+/// `SelTree::eval`'s, so folding cannot change bits.
+fn const_value(tree: &SelTree) -> Option<f64> {
+    match tree {
+        SelTree::One => Some(1.0),
+        SelTree::Not(inner) => Some(1.0 - const_value(inner)?),
+        SelTree::Or(children) => {
+            let mut not_sel = 1.0;
+            for c in children {
+                not_sel *= 1.0 - const_value(c)?;
+            }
+            Some((1.0 - not_sel).clamp(0.0, 1.0))
+        }
+        SelTree::And(_) | SelTree::Atom(_) => None,
+    }
 }
 
-/// Compile one subtree, appending postfix ops. Value-independent subtrees
-/// fold to a single `Const` computed by `SelTree::eval` — the same
-/// arithmetic the interpreted path runs, so folding cannot change bits.
+/// Compile one subtree, appending postfix ops.
 fn compile_tree(
     tree: &SelTree,
     table: &str,
-    def: &autoindex_storage::Table,
     stats: &mut ColumnarStats,
     slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
     ops: &mut Vec<SelOp>,
-) -> Option<()> {
-    if !tree_depends_on_literals(tree, table, stats, slot_of) {
-        ops.push(SelOp::Const(tree.eval(def)));
-        return Some(());
+) {
+    if let Some(v) = const_value(tree) {
+        ops.push(SelOp::Const(v));
+        return;
     }
     match tree {
         SelTree::And(children) => {
             for c in children {
-                compile_tree(c, table, def, stats, slot_of, ops)?;
+                compile_tree(c, table, stats, slot_of, ops);
             }
             ops.push(SelOp::AndN(children.len() as u16));
         }
         SelTree::Or(children) => {
             for c in children {
-                compile_tree(c, table, def, stats, slot_of, ops)?;
+                compile_tree(c, table, stats, slot_of, ops);
             }
             ops.push(SelOp::OrN(children.len() as u16));
         }
         SelTree::Not(inner) => {
-            compile_tree(inner, table, def, stats, slot_of, ops)?;
+            compile_tree(inner, table, stats, slot_of, ops);
             ops.push(SelOp::Not);
         }
-        SelTree::Atom(atom) => {
-            let col = stats.slot_for_atom(table, atom)?;
-            let leaf = match atom {
-                AtomicPredicate::Cmp { op, value, .. } => DynLeaf::Cmp {
-                    col,
-                    op: *op,
-                    value: lit_ref(value, slot_of),
-                },
-                AtomicPredicate::Between {
-                    low, high, negated, ..
-                } => DynLeaf::Between {
-                    col,
-                    low: lit_ref(low, slot_of),
-                    high: lit_ref(high, slot_of),
-                    negated: *negated,
-                },
-                // Every other atom kind is value-independent and was
-                // handled by the const fold above.
-                _ => return None,
-            };
-            ops.push(SelOp::Leaf(leaf));
-        }
-        SelTree::One => ops.push(SelOp::Const(1.0)),
+        SelTree::Atom(atom) => ops.push(SelOp::Leaf(leaf_for(atom, table, stats, slot_of))),
+        SelTree::One => unreachable!("`One` always folds"),
     }
-    Some(())
+}
+
+/// The leaf for one atom, mirroring the dispatch of `atom_selectivity`.
+fn leaf_for(
+    atom: &AtomicPredicate,
+    table: &str,
+    stats: &mut ColumnarStats,
+    slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
+) -> DynLeaf {
+    let col = stats.slot_for_atom(table, atom);
+    match atom {
+        AtomicPredicate::Cmp { op, value, .. } => DynLeaf::Cmp {
+            col,
+            op: *op,
+            value: lit_ref(value, slot_of),
+        },
+        AtomicPredicate::Between {
+            low, high, negated, ..
+        } => DynLeaf::Between {
+            col,
+            low: lit_ref(low, slot_of),
+            high: lit_ref(high, slot_of),
+            negated: *negated,
+        },
+        AtomicPredicate::InList {
+            values, negated, ..
+        } => DynLeaf::InList {
+            col,
+            len: values.len(),
+            negated: *negated,
+        },
+        AtomicPredicate::IsNull { negated, .. } => DynLeaf::IsNull {
+            col,
+            negated: *negated,
+        },
+        AtomicPredicate::Like {
+            pattern, negated, ..
+        } => DynLeaf::Fixed(like_selectivity(pattern, *negated)),
+        AtomicPredicate::JoinEq { .. } => DynLeaf::Fixed(DEFAULT_EQ_SEL),
+        AtomicPredicate::Opaque { .. } => DynLeaf::Fixed(DEFAULT_OPAQUE_SEL),
+    }
 }
 
 fn lit_ref(v: &Value, slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>) -> LitRef {
@@ -341,58 +450,12 @@ fn lit_ref(v: &Value, slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>) -> LitRef
     }
 }
 
-/// Whether any leaf under `tree` produces a different selectivity for
-/// different literal bindings. Conservative in the right direction: a
-/// `true` only costs a dynamic leaf, a `false` must be provably constant.
-fn tree_depends_on_literals(
-    tree: &SelTree,
-    table: &str,
-    stats: &mut ColumnarStats,
-    slot_of: &dyn Fn(&Value) -> Option<(u16, bool)>,
-) -> bool {
-    match tree {
-        SelTree::And(children) | SelTree::Or(children) => children
-            .iter()
-            .any(|c| tree_depends_on_literals(c, table, stats, slot_of)),
-        SelTree::Not(inner) => tree_depends_on_literals(inner, table, stats, slot_of),
-        SelTree::One => false,
-        SelTree::Atom(atom) => {
-            let qualifies = stats
-                .slot_for_atom(table, atom)
-                .map(|s| col_qualifies(stats.column(s)))
-                .unwrap_or(false);
-            match atom {
-                // Eq/Ne read only NDV; ranges read the value iff the
-                // column has usable numeric bounds.
-                AtomicPredicate::Cmp { op, value, .. } => {
-                    !matches!(op, CmpOp::Eq | CmpOp::Ne) && qualifies && slot_of(value).is_some()
-                }
-                // BETWEEN reads values iff the column qualifies and
-                // neither bound is a non-numeric constant (which forces
-                // the default branch regardless of the other bound).
-                AtomicPredicate::Between { low, high, .. } => {
-                    let bound_blocks = |v: &Value| {
-                        slot_of(v).is_none() && !matches!(v, Value::Int(_) | Value::Float(_))
-                    };
-                    qualifies
-                        && (slot_of(low).is_some() || slot_of(high).is_some())
-                        && !bound_blocks(low)
-                        && !bound_blocks(high)
-                }
-                // IN-list selectivity depends only on arity (fixed per
-                // template); LIKE on the pattern shape; IS NULL and
-                // opaque atoms on stats alone.
-                _ => false,
-            }
-        }
-    }
-}
-
 fn eval_leaf(leaf: &DynLeaf, literals: &[Value], stats: &ColumnarStats, rows: u64) -> f64 {
+    let column = |col: &Option<u32>| col.map(|c| stats.column(c));
     let sel = match leaf {
-        DynLeaf::Cmp { col, op, value } => with_lit(value, literals, |v| {
-            cmp_selectivity(Some(stats.column(*col)), *op, v)
-        }),
+        DynLeaf::Cmp { col, op, value } => {
+            with_lit(value, literals, |v| cmp_selectivity(column(col), *op, v))
+        }
         DynLeaf::Between {
             col,
             low,
@@ -400,9 +463,12 @@ fn eval_leaf(leaf: &DynLeaf, literals: &[Value], stats: &ColumnarStats, rows: u6
             negated,
         } => with_lit(low, literals, |lo| {
             with_lit(high, literals, |hi| {
-                between_selectivity(Some(stats.column(*col)), lo, hi, *negated)
+                between_selectivity(column(col), lo, hi, *negated)
             })
         }),
+        DynLeaf::InList { col, len, negated } => in_list_selectivity(column(col), *len, *negated),
+        DynLeaf::IsNull { col, negated } => is_null_selectivity(column(col), *negated),
+        DynLeaf::Fixed(sel) => *sel,
     };
     // The interpreted path clamps each atom via `atom_selectivity`.
     clamp_sel(sel, rows)
@@ -477,8 +543,8 @@ mod tests {
         let a = ColumnarStats::build(&c);
         let b = ColumnarStats::build(&c);
         assert_eq!(a.slot("account", "balance"), b.slot("account", "balance"));
-        assert_eq!(a.ndv, b.ndv);
-        assert_eq!(a.min, b.min);
+        assert_eq!(a.cols, b.cols);
+        assert_eq!(a.rows, b.rows);
     }
 
     /// Compile a template's trace with sentinels standing in for the
@@ -498,8 +564,8 @@ mod tests {
                 _ => None,
             }
         };
-        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &mut stats, &slot_of)
-            .expect("compiles");
+        let prog =
+            TemplateSelProgram::compile(&trace, &shape, &mut stats, &slot_of).expect("compiles");
         let mut out = Vec::new();
         let mut stack = Vec::new();
         prog.eval_into(&literals, &stats, &mut out, &mut stack);
@@ -549,6 +615,91 @@ mod tests {
         );
     }
 
+    /// Programs compiled before `Catalog::grow_table` and evaluated against
+    /// refreshed stats match a fresh extraction on the grown catalog, bit
+    /// for bit: `=` on a unique column reads the scaled NDV, a range on a
+    /// near-unique numeric column the scaled `max`, and every clamp the
+    /// grown row count.
+    #[test]
+    fn refreshed_stats_track_insert_growth() {
+        const SENTINEL_BASE: i64 = 9_100_000_000_000_000;
+        let slot_of = |v: &Value| -> Option<(u16, bool)> {
+            match v {
+                Value::Int(i) if *i >= SENTINEL_BASE => Some(((*i - SENTINEL_BASE) as u16, false)),
+                _ => None,
+            }
+        };
+        let mut c = catalog();
+        let mut stats = ColumnarStats::build(&c);
+        let cases = [
+            (
+                "SELECT * FROM account WHERE id = 9100000000000000",
+                "SELECT * FROM account WHERE id = 4242",
+                vec![Value::Int(4242)],
+            ),
+            (
+                "SELECT * FROM account WHERE id > 9100000000000000 AND branch = 9100000000000001",
+                "SELECT * FROM account WHERE id > 90000 AND branch = 3",
+                vec![Value::Int(90_000), Value::Int(3)],
+            ),
+            (
+                "SELECT * FROM account WHERE id BETWEEN 9100000000000000 AND 9100000000000001",
+                "SELECT * FROM account WHERE id BETWEEN 99000 AND 99990",
+                vec![Value::Int(99_000), Value::Int(99_990)],
+            ),
+        ];
+        let progs: Vec<TemplateSelProgram> = cases
+            .iter()
+            .map(|(tmpl, _, _)| {
+                let (shape, trace) =
+                    QueryShape::extract_traced(&parse_statement(tmpl).unwrap(), &c);
+                TemplateSelProgram::compile(&trace, &shape, &mut stats, &slot_of).unwrap()
+            })
+            .collect();
+        let (mut out, mut stack) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            c.grow_table("account", 40_000).unwrap();
+            let grown = c.table("account").unwrap();
+            let stale = stats.clone();
+            assert!(stats.refresh_table(grown, c.version()));
+            assert_eq!(stats.version(), c.version());
+            for ((_, real, lits), prog) in cases.iter().zip(&progs) {
+                let expect = QueryShape::extract(&parse_statement(real).unwrap(), &c);
+                prog.eval_into(lits, &stats, &mut out, &mut stack);
+                assert_eq!(
+                    out[0].to_bits(),
+                    expect.tables[0].filter_sel.to_bits(),
+                    "{real}"
+                );
+                // The stale stats give a different answer: the refresh is
+                // what keeps the program current.
+                prog.eval_into(lits, &stale, &mut out, &mut stack);
+                assert_ne!(
+                    out[0].to_bits(),
+                    expect.tables[0].filter_sel.to_bits(),
+                    "{real}"
+                );
+            }
+        }
+        // A table the stats never saw, or whose columns changed, is not
+        // refreshable: the caller must rebuild.
+        let ghost = TableBuilder::new("ghost", 10)
+            .column(Col::int("id", 10))
+            .build()
+            .unwrap();
+        assert!(!stats.refresh_table(&ghost, 99));
+        let reshaped = TableBuilder::new("branch", 100)
+            .column(Col::int("bid", 100))
+            .build()
+            .unwrap();
+        assert!(!stats.refresh_table(&reshaped, 99));
+        assert_eq!(
+            stats.version(),
+            c.version(),
+            "failed refreshes change nothing"
+        );
+    }
+
     #[test]
     fn negated_slots_evaluate_with_sign_applied() {
         // Template encodes `balance > -$0` as Int(-(SENTINEL_BASE + 0)).
@@ -572,7 +723,7 @@ mod tests {
         let slot_of = |v: &Value| -> Option<(u16, bool)> {
             matches!(v, Value::Int(i) if *i >= 9_100_000_000_000_000).then_some((0, false))
         };
-        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &mut stats, &slot_of).unwrap();
+        let prog = TemplateSelProgram::compile(&trace, &shape, &mut stats, &slot_of).unwrap();
         assert!(prog.is_constant(), "Eq + IS NULL folds entirely");
     }
 
@@ -586,7 +737,7 @@ mod tests {
         let slot_of = |v: &Value| -> Option<(u16, bool)> {
             matches!(v, Value::Int(i) if *i >= 9_100_000_000_000_000).then_some((0, false))
         };
-        let prog = TemplateSelProgram::compile(&trace, &shape, &c, &mut stats, &slot_of).unwrap();
+        let prog = TemplateSelProgram::compile(&trace, &shape, &mut stats, &slot_of).unwrap();
         let mut out = Vec::with_capacity(4);
         let mut stack = Vec::with_capacity(8);
         // Warm up, then check capacities never grow (proxy for no realloc).

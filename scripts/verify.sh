@@ -51,6 +51,12 @@ if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.fastpath\.hits' | grep -q 'ok'
     exit 1
 fi
 
+echo "==> online fast-path smoke-check (feed hits compiled templates, transcript equals the parse path)"
+if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'online\.fastpath' | grep -q 'ok'; then
+    echo "ERROR: OnlineAutoIndex::feed missed its fast path or diverged from the parse-path reference" >&2
+    exit 1
+fi
+
 echo "==> fleet determinism smoke-check (multi-tenant digests byte-identical, admission engaged)"
 if ! printf '%s\n' "$SMOKE_OUT" | grep -E 'serve\.fleet\.determinism' | grep -q 'ok'; then
     echo "ERROR: multi-tenant fleet transcript digest differs between 1 and 4 workers" >&2
